@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lstm import MaskSet, all_ones_mask_set, sample_mask_set
+from .lstm import MaskSet, all_ones_mask_set, mask_uniform_count, masks_from_uniforms, sample_mask_set
 from .numerics import sigmoid
 from .world_model import WorldModelParams, heads_raw, sample_transition_raw
 
@@ -303,166 +303,192 @@ def rollout_batch(
     starts: np.ndarray | None = None,
     include_c: bool = False,
 ):
-    """Roll one dream episode per lane in lockstep.
+    """Roll one dream episode per lane in lockstep; each loop iteration runs
+    the whole step for all active lanes as array math.
 
-    controller_w: (L, a_dim, f_dim) and controller_b: (L, a_dim) give each
-    lane its own linear policy over features [z, h] (or [z, h, c]). Each
-    lane's randomness comes only from its own generator, so results are
-    independent of lane order and match per-lane DreamEnv rollouts up to
-    matmul-batching rounding.
+    controller_w: (L, action_dim, n + d) and controller_b: (L, action_dim)
+    give each lane its own linear policy over features [z, h]; with
+    ``include_c`` the features are [z, h, c] and controller_w is
+    (L, action_dim, n + 2d). ``starts`` is an (m, n) pool of initial latents.
+
+    Draw contract: each lane consumes only its own generator, in the order
+    of the per-lane loop this replaced (``tests/reference_rollout.py``). At
+    reset: the initial latent (``standard_normal(n)`` or ``integers(m)``),
+    the Episode mask's uniforms, then the ensemble member. Each step: the
+    ensemble member (step cadence), then one ``random`` call holding the
+    step's mask uniforms (none, one MaskSet's or mc_samples MaskSets' worth)
+    followed by the n component uniforms, then ``standard_normal(n)``, the
+    done uniform ``random()``, and for the noisy variant
+    ``standard_normal(n)``. The masked cell and the heads run the same
+    matrix products on the same row groups as that loop, so returns, steps,
+    truncation and mask counts match it bit for bit. Against ``DreamEnv``,
+    and against the same lanes in a batch of another size, results match
+    only up to matmul rounding, because BLAS row results depend on the row
+    count.
 
     Returns a dict with per-lane returns, steps, truncation flags, and the
     number of MaskSets sampled.
     """
     model = cfg.model
-    n, d, r = model.n, model.hidden_dim, model.input_dim
+    n, d, r, k = model.n, model.hidden_dim, model.input_dim, model.k
     a_dim = model.action_dim
     L = len(lane_rngs)
     n_models = len(cfg.ensemble)
-    scale_rate = cfg.scale_rate()
+    if L == 0:
+        raise ValueError("rollout_batch needs at least one lane")
+    f_dim = n + (2 * d if include_c else d)
+    W = np.asarray(controller_w, dtype=np.float64)
+    Bc = np.asarray(controller_b, dtype=np.float64)
+    if W.shape != (L, a_dim, f_dim):
+        raise ValueError(f"controller_w has shape {W.shape}, expected {(L, a_dim, f_dim)}")
+    if Bc.shape != (L, a_dim):
+        raise ValueError(f"controller_b has shape {Bc.shape}, expected {(L, a_dim)}")
+    if starts is not None:
+        starts = np.asarray(starts, dtype=np.float64)
+        if starts.ndim != 2 or starts.shape[1] != n:
+            raise ValueError(f"starts has shape {starts.shape}, expected (m, {n})")
+    if cfg.z_init == ZInit.DATASET_STARTS and (starts is None or len(starts) == 0):
+        raise ValueError("dataset_starts requires a non-empty start pool")
 
+    mask_args = (cfg.p_infer, r, d, model.action_input_dims, cfg.scale_rate())
+    per_set = mask_uniform_count(cfg.p_infer, r, d)
+    mc_k = 0 if cfg.mc_samples == 0 else (1 if cfg.p_infer == 0.0 else cfg.mc_samples)
+    step_masks = cfg.mc_samples == 0 and cfg.policy == RandomizationPolicy.STEP
+    sets_per_step = mc_k if mc_k > 1 else int(step_masks)  # MaskSets drawn per lane-step
+    m_u = sets_per_step * per_set  # mask uniforms per lane-step
+    member_per_step = n_models > 1 and cfg.policy == RandomizationPolicy.STEP
+    noisy = cfg.noise_sigma > 0.0
+    masks_sampled = 0
+
+    # Reset, lane by lane.
+    Z = np.empty((L, n))
+    member = np.zeros(L, dtype=np.int64)
+    episode_masks = cfg.policy == RandomizationPolicy.EPISODE and cfg.mc_samples == 0
+    U0 = np.empty((L, per_set))
+    for lane, rng in enumerate(lane_rngs):
+        if cfg.z_init == ZInit.STANDARD_NORMAL:
+            rng.standard_normal(out=Z[lane])
+        else:
+            Z[lane] = starts[int(rng.integers(len(starts)))]
+        if episode_masks and per_set:
+            rng.random(out=U0[lane])
+        if n_models > 1:
+            member[lane] = rng.integers(n_models)
+    # Masks of the active lanes. None stands for all-ones masks (Off policy,
+    # MC at p=0), whose masked products equal the unmasked ones.
+    SX = SH = None
+    if episode_masks:
+        masks_sampled += L
+        SX, SH = masks_from_uniforms(U0, *mask_args)
+
+    # State of the active lanes only, compacted when lanes finish.
+    lanes = np.arange(L)
+    rngs = list(lane_rngs)
     H = np.zeros((L, d))
     C = np.zeros((L, d))
-    Z = np.empty((L, n))
-    model_idx = np.zeros(L, dtype=np.int64)
-    SX = np.ones((L, 4, r))
-    SH = np.ones((L, 4, d))
-    done = np.zeros(L, dtype=bool)
+    Wa = np.ascontiguousarray(W)
+    Ba = np.ascontiguousarray(Bc)
+    features = np.arange(n)
     truncated = np.zeros(L, dtype=bool)
     returns = np.zeros(L)
     steps = np.zeros(L, dtype=np.int64)
-    masks_sampled = 0
 
-    def sample_lane_mask(lane, rng):
-        nonlocal masks_sampled
-        masks_sampled += 1
-        m = sample_mask_set(
-            cfg.p_infer, r, d, action_dims=model.action_input_dims, rng=rng, scale_rate=scale_rate
-        )
-        SX[lane] = m.scaled_x
-        SH[lane] = m.scaled_h
-
-    for lane, rng in enumerate(lane_rngs):
-        if cfg.z_init == ZInit.STANDARD_NORMAL:
-            Z[lane] = rng.standard_normal(n)
+    def cell(m, X, Hs, Cs, sx, sh):
+        """Masked LSTM step for the rows of one ensemble member."""
+        lstm = cfg.ensemble[m].lstm
+        if sx is None:
+            xm, hm = X, Hs
         else:
-            if starts is None or len(starts) == 0:
-                raise ValueError("dataset_starts requires a non-empty start pool")
-            Z[lane] = starts[int(rng.integers(len(starts)))]
-        if cfg.policy == RandomizationPolicy.EPISODE and cfg.mc_samples == 0:
-            sample_lane_mask(lane, rng)
-        if n_models > 1:
-            model_idx[lane] = rng.integers(n_models)
-
-    w_x = {m: cfg.ensemble[m].lstm.w_x for m in range(n_models)}
-    w_h = {m: cfg.ensemble[m].lstm.w_h for m in range(n_models)}
-    b = {m: cfg.ensemble[m].lstm.b for m in range(n_models)}
-
-    def masked_lstm(idx, X, Hs, Cs, sx, sh):
-        """Masked LSTM step for the lane subset ``idx`` grouped by model."""
-        h_new = np.empty((len(idx), d))
-        c_new = np.empty((len(idx), d))
-        groups = [(0, np.arange(len(idx)))] if n_models == 1 else [
-            (m, np.flatnonzero(model_idx[idx] == m)) for m in range(n_models)
-        ]
-        for m, rows in groups:
-            if len(rows) == 0:
-                continue
-            pre = np.empty((4, len(rows), d))
-            for g in range(4):
-                xm = X[rows] * sx[rows, g, :]
-                hm = Hs[rows] * sh[rows, g, :]
-                pre[g] = xm @ w_x[m][g].T + hm @ w_h[m][g].T + b[m][g]
-            cg = sigmoid(pre[0]) * np.tanh(pre[2]) + sigmoid(pre[1]) * Cs[rows]
-            c_new[rows] = cg
-            h_new[rows] = sigmoid(pre[3]) * np.tanh(cg)
-        return h_new, c_new
+            xm = np.multiply(X[None], sx.transpose(1, 0, 2), order="C")  # (4, rows, r)
+            hm = np.multiply(Hs[None], sh.transpose(1, 0, 2), order="C")
+        # matmul over the gate axis makes the per-gate products
+        # (rows, r) @ w_x[g].T and (rows, d) @ w_h[g].T, one BLAS call each.
+        pre = np.matmul(xm, lstm.w_x.transpose(0, 2, 1)) + np.matmul(hm, lstm.w_h.transpose(0, 2, 1))
+        pre += lstm.b[:, None, :]
+        s_i, s_f, s_o = sigmoid(pre[[0, 1, 3]])
+        c = s_i * np.tanh(pre[2]) + s_f * Cs
+        return s_o * np.tanh(c), c
 
     for t in range(cfg.max_ep_len):
-        active = np.flatnonzero(~done)
-        if active.size == 0:
-            break
-        feats = [Z[active], H[active]]
-        if include_c:
-            feats.append(C[active])
-        F = np.concatenate(feats, axis=1)
-        A = np.tanh(np.einsum("laf,lf->la", controller_w[active], F) + controller_b[active])
-        X = np.concatenate([Z[active], A], axis=1)
+        A = len(lanes)
+        # The only per-lane Python: each lane's generator calls, in draw order.
+        U = np.empty((A, m_u + n))
+        E = np.empty((A, n))
+        D = np.empty(A)
+        N = np.empty((A, n)) if noisy else None
+        for j, rng in enumerate(rngs):
+            if member_per_step:
+                member[j] = rng.integers(n_models)
+            rng.random(out=U[j])
+            rng.standard_normal(out=E[j])
+            D[j] = rng.random()
+            if noisy:
+                rng.standard_normal(out=N[j])
 
-        if cfg.mc_samples > 0:
-            K = 1 if cfg.p_infer == 0.0 else cfg.mc_samples
-            if K > 1:
-                sx_mc = np.empty((active.size, K, 4, r))
-                sh_mc = np.empty((active.size, K, 4, d))
-                for j, lane in enumerate(active):
-                    for kk in range(K):
-                        masks_sampled += 1
-                        m = sample_mask_set(
-                            cfg.p_infer, r, d,
-                            action_dims=model.action_input_dims,
-                            rng=lane_rngs[lane],
-                            scale_rate=scale_rate,
-                        )
-                        sx_mc[j, kk] = m.scaled_x
-                        sh_mc[j, kk] = m.scaled_h
-                Xr = np.repeat(X, K, axis=0)
-                Hr = np.repeat(H[active], K, axis=0)
-                Cr = np.repeat(C[active], K, axis=0)
-                idx_r = np.repeat(active, K)
-                h_all, c_all = masked_lstm(idx_r, Xr, Hr, Cr, sx_mc.reshape(-1, 4, r), sh_mc.reshape(-1, 4, d))
-                _, pi_a, mu_a, sg_a, r_a, u_a = heads_raw(model, h_all)
-                shape = (active.size, K)
-                h_new = h_all.reshape(shape + (d,)).mean(axis=1)
-                c_new = c_all.reshape(shape + (d,)).mean(axis=1)
-                pi = pi_a.reshape(shape + pi_a.shape[1:]).mean(axis=1)
-                mu = mu_a.reshape(shape + mu_a.shape[1:]).mean(axis=1)
-                sigma = sg_a.reshape(shape + sg_a.shape[1:]).mean(axis=1)
-                r_hat = r_a.reshape(shape).mean(axis=1)
-                d_hat = sigmoid(u_a).reshape(shape).mean(axis=1)
-            else:
-                h_new, c_new = masked_lstm(active, X, H[active], C[active], SX[active], SH[active])
-                _, pi, mu, sigma, r_hat, u = heads_raw(model, h_new)
-                d_hat = sigmoid(u)
+        feats = (Z, H, C) if include_c else (Z, H)
+        act = np.tanh(np.einsum("laf,lf->la", Wa, np.concatenate(feats, axis=1)) + Ba)
+        X = np.concatenate([Z, act], axis=1)
+        if step_masks:
+            masks_sampled += A
+            SX, SH = masks_from_uniforms(U[:, :m_u], *mask_args)
+
+        if mc_k > 1:
+            masks_sampled += A * mc_k
+            sx, sh = masks_from_uniforms(U[:, :m_u].reshape(A * mc_k, per_set), *mask_args)
+            h_all, c_all = cell(
+                0, np.repeat(X, mc_k, axis=0), np.repeat(H, mc_k, axis=0), np.repeat(C, mc_k, axis=0), sx, sh
+            )
+            _, pi_a, mu_a, sg_a, r_a, u_a = heads_raw(model, h_all)
+            shape = (A, mc_k)
+            h_new = h_all.reshape(shape + (d,)).mean(axis=1)
+            c_new = c_all.reshape(shape + (d,)).mean(axis=1)
+            pi = pi_a.reshape(shape + pi_a.shape[1:]).mean(axis=1)
+            mu = mu_a.reshape(shape + mu_a.shape[1:]).mean(axis=1)
+            sigma = sg_a.reshape(shape + sg_a.shape[1:]).mean(axis=1)
+            r_hat = r_a.reshape(shape).mean(axis=1)
+            d_hat = sigmoid(u_a).reshape(shape).mean(axis=1)
+        elif n_models == 1:
+            h_new, c_new = cell(0, X, H, C, SX, SH)
+            _, pi, mu, sigma, r_hat, u = heads_raw(model, h_new)
+            d_hat = sigmoid(u)
         else:
-            if cfg.policy == RandomizationPolicy.STEP:
-                for lane in active:
-                    sample_lane_mask(lane, lane_rngs[lane])
-                if n_models > 1:
-                    for lane in active:
-                        model_idx[lane] = lane_rngs[lane].integers(n_models)
-            h_new, c_new = masked_lstm(active, X, H[active], C[active], SX[active], SH[active])
-            if n_models == 1:
-                _, pi, mu, sigma, r_hat, u = heads_raw(model, h_new)
-            else:
-                pi = np.empty((active.size, n, model.k))
-                mu = np.empty_like(pi)
-                sigma = np.empty_like(pi)
-                r_hat = np.empty(active.size)
-                u = np.empty(active.size)
-                for m in range(n_models):
-                    rows = np.flatnonzero(model_idx[active] == m)
-                    if len(rows) == 0:
-                        continue
-                    _, pi[rows], mu[rows], sigma[rows], r_hat[rows], u[rows] = heads_raw(
-                        cfg.ensemble[m], h_new[rows]
-                    )
+            h_new, c_new = np.empty((A, d)), np.empty((A, d))
+            pi, mu, sigma = (np.empty((A, n, k)) for _ in range(3))
+            r_hat, u = np.empty(A), np.empty(A)
+            for m in range(n_models):
+                rows = np.flatnonzero(member == m)
+                if len(rows) == 0:
+                    continue
+                sx = None if SX is None else SX[rows]
+                sh = None if SH is None else SH[rows]
+                h_new[rows], c_new[rows] = cell(m, X[rows], H[rows], C[rows], sx, sh)
+                _, pi[rows], mu[rows], sigma[rows], r_hat[rows], u[rows] = heads_raw(cfg.ensemble[m], h_new[rows])
             d_hat = sigmoid(u)
 
-        for j, lane in enumerate(active):
-            rng = lane_rngs[lane]
-            z_next, _, done_sample = sample_transition_raw(pi[j], mu[j], sigma[j], float(d_hat[j]), rng)
-            if cfg.noise_sigma > 0.0:
-                z_next = z_next + cfg.noise_sigma * rng.standard_normal(n)
-            Z[lane] = z_next
-            returns[lane] += r_hat[j]
-            steps[lane] += 1
-            if done_sample:
-                done[lane] = True
-            elif t == cfg.max_ep_len - 1:
-                done[lane] = True
-                truncated[lane] = True
-        H[active] = h_new
-        C[active] = c_new
+        # Transition: component choice, Gaussian draw, done test.
+        comp = np.minimum((U[:, m_u:, None] >= np.cumsum(pi, axis=2)).sum(axis=2), k - 1)
+        pick = (np.arange(A)[:, None], features, comp)
+        z_next = mu[pick] + sigma[pick] * E
+        if noisy:
+            z_next = z_next + cfg.noise_sigma * N
+        returns[lanes] += r_hat
+        steps[lanes] += 1
+        ended = D < d_hat
+        if t == cfg.max_ep_len - 1:
+            truncated[lanes[~ended]] = True
+            break
+        if ended.any():
+            keep = ~ended
+            lanes = lanes[keep]
+            if len(lanes) == 0:
+                break
+            rngs = [rngs[j] for j in np.flatnonzero(keep)]
+            Z, H, C, Wa, Ba = z_next[keep], h_new[keep], c_new[keep], Wa[keep], Ba[keep]
+            member = member[keep]
+            if episode_masks:
+                SX, SH = SX[keep], SH[keep]
+        else:
+            Z, H, C = z_next, h_new, c_new
 
     return {
         "returns": returns,

@@ -33,6 +33,8 @@ __all__ = [
     "sample_mask_set",
     "all_ones_mask_set",
     "mask_scale_arrays",
+    "mask_uniform_count",
+    "masks_from_uniforms",
     "lstm_step",
     "lstm_forward",
     "lstm_backward",
@@ -142,9 +144,48 @@ def mask_scale_arrays(keep_x, keep_h, p, action_dims=(), scale_rate=None):
     scale = 1.0 / (1.0 - rate)
     scaled_x = keep_x.astype(np.float64) * scale
     if action_dims:
-        scaled_x[:, list(action_dims)] = 1.0
+        scaled_x[..., list(action_dims)] = 1.0
     scaled_h = keep_h.astype(np.float64) * scale
     return scaled_x, scaled_h
+
+
+def mask_uniform_count(p, input_dim, hidden_dim) -> int:
+    """Uniform draws one MaskSet consumes: one per entry of the eight masks,
+    or none at p == 0."""
+    return 0 if p == 0.0 else 4 * (input_dim + hidden_dim)
+
+
+def _keep_from_uniforms(u, p, input_dim, hidden_dim, action_dims):
+    """Keep patterns from uniforms u (..., mask_uniform_count): the first
+    4*input_dim draws give keep_x (..., 4, input_dim), gate-major, the rest
+    keep_h (..., 4, hidden_dim). An entry is kept when its draw is >= p;
+    action entries are always kept."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim < 1 or u.shape[-1] != mask_uniform_count(p, input_dim, hidden_dim):
+        raise ValueError(f"uniforms must have {mask_uniform_count(p, input_dim, hidden_dim)} entries per mask set")
+    lead = u.shape[:-1]
+    if p == 0.0:
+        return np.ones(lead + (4, input_dim), dtype=bool), np.ones(lead + (4, hidden_dim), dtype=bool)
+    keep = u >= p
+    keep_x = keep[..., : 4 * input_dim].reshape(lead + (4, input_dim))
+    if action_dims:
+        keep_x[..., list(action_dims)] = True
+    keep_h = keep[..., 4 * input_dim :].reshape(lead + (4, hidden_dim))
+    return keep_x, keep_h
+
+
+def masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims=(), scale_rate=None):
+    """Scaled masks (..., 4, input_dim) and (..., 4, hidden_dim) from uniforms
+    u (..., mask_uniform_count), one mask set per leading index.
+
+    This is the mask-draw rule of ``sample_mask_set``: feeding it the
+    uniforms of ``count`` sequential ``sample_mask_set`` calls, in order,
+    gives their ``scaled_x``/``scaled_h`` bit for bit.
+    """
+    keep_x, keep_h = _keep_from_uniforms(u, p, input_dim, hidden_dim, action_dims)
+    return mask_scale_arrays(keep_x, keep_h, p, action_dims, scale_rate)
 
 
 def sample_mask_set(p, input_dim, hidden_dim, action_dims=(), rng=None, scale_rate=None) -> MaskSet:
@@ -159,16 +200,11 @@ def sample_mask_set(p, input_dim, hidden_dim, action_dims=(), rng=None, scale_ra
     action_dims = tuple(sorted(int(j) for j in action_dims))
     if any(j < 0 or j >= input_dim for j in action_dims):
         raise ValueError("action_dims out of input range")
-    if p == 0.0:
-        keep_x = np.ones((4, input_dim), dtype=bool)
-        keep_h = np.ones((4, hidden_dim), dtype=bool)
-    else:
-        if rng is None:
-            raise ValueError("rng required when p > 0")
-        keep_x = rng.random((4, input_dim)) >= p
-        if action_dims:
-            keep_x[:, list(action_dims)] = True
-        keep_h = rng.random((4, hidden_dim)) >= p
+    if p > 0.0 and rng is None:
+        raise ValueError("rng required when p > 0")
+    count = mask_uniform_count(p, input_dim, hidden_dim)
+    u = rng.random(count) if count else np.empty(0)
+    keep_x, keep_h = _keep_from_uniforms(u, p, input_dim, hidden_dim, action_dims)
     return MaskSet(keep_x, keep_h, p, action_dims, scale_rate)
 
 

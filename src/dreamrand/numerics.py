@@ -60,7 +60,7 @@ def sigmoid(x):
     """Numerically stable logistic function, vectorized."""
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    out = np.where(x >= 0, 1.0, t) / (1.0 + t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,9 +76,9 @@ def log_sum_exp(v, axis=None):
     if axis is None:
         m = np.max(v)
         return float(np.log(np.sum(np.exp(v - m))) + m)
-    m = np.max(v, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(v - m), axis=axis, keepdims=True)) + m
-    return np.squeeze(out, axis=axis)
+    m = v.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(v - m).sum(axis=axis, keepdims=True)) + m
+    return out.squeeze(axis=axis)
 
 
 def gaussian_logpdf(x, mu, sigma):

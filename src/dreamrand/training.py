@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lstm import lstm_backward, lstm_forward, masks_to_arrays, sample_mask_set
+from .lstm import (
+    lstm_backward,
+    lstm_forward,
+    mask_uniform_count,
+    masks_from_uniforms,
+    masks_to_arrays,
+    sample_mask_set,
+)
 from .numerics import global_norm, rng_stream
 from .world_model import WorldModelParams, transition_loss_batch
 
@@ -337,42 +344,13 @@ def evaluate_loss(
         if p_infer == 0.0:
             sx = sh = None
         else:
-            sx = np.empty((T, W, 4, r_dim))
-            sh = np.empty((T, W, 4, d))
-            for w in range(W):
-                for t in range(T):
-                    m = sample_mask_set(
-                        p_infer,
-                        r_dim,
-                        d,
-                        action_dims=params.action_input_dims,
-                        rng=rng,
-                        scale_rate=scale_rate,
-                    )
-                    sx[t, w] = m.scaled_x
-                    sh[t, w] = m.scaled_h
+            # One MaskSet per (window, step), drawn window-major.
+            u_shape = (W, T, mask_uniform_count(p_infer, r_dim, d))
+            sx, sh = masks_from_uniforms(rng.random(u_shape), p_infer, r_dim, d, params.action_input_dims, scale_rate)
+            sx, sh = sx.transpose(1, 0, 2, 3), sh.transpose(1, 0, 2, 3)
         hs, _ = lstm_forward(params.lstm, xs, sx, sh)
         metrics, _, _ = transition_loss_batch(params, hs, zt, rt, dt, alpha_r, alpha_d)
-        # recover per-sequence sums for the spread estimate
-        per_seq[rep] = _per_sequence_losses(params, hs, zt, rt, dt, alpha_r, alpha_d)
-        assert abs(per_seq[rep].mean() - metrics["loss"]) < 1e-8 * max(1.0, abs(metrics["loss"]))
+        per_seq[rep] = metrics["per_sequence"]
     mean = float(per_seq.mean())
     std_err = float(per_seq.std(ddof=1) / np.sqrt(per_seq.size)) if per_seq.size > 1 else 0.0
     return EvalLossResult(mean, std_err, per_seq, p_infer)
-
-
-def _per_sequence_losses(params, hs, zt, rt, dt, alpha_r, alpha_d):
-    """Summed-over-time joint loss of every sequence in a block."""
-    from .numerics import gaussian_logpdf, log_sum_exp, sigmoid
-    from .world_model import DONE_CLAMP, heads_raw
-
-    T, B, _ = hs.shape
-    log_pi, pi, mu, sigma, r_hat, done_logit = heads_raw(params, hs.reshape(T * B, -1))
-    a = log_pi + gaussian_logpdf(zt.reshape(T * B, -1)[:, :, None], mu, sigma)
-    lz = -log_sum_exp(a, axis=2).sum(axis=1)
-    d_hat = np.clip(sigmoid(done_logit), DONE_CLAMP, 1.0 - DONE_CLAMP)
-    dflat = dt.reshape(T * B)
-    ld = -(dflat * np.log(d_hat) + (1.0 - dflat) * np.log(1.0 - d_hat))
-    lr = (rt.reshape(T * B) - r_hat) ** 2
-    per_transition = lz + alpha_r * lr + alpha_d * ld
-    return per_transition.reshape(T, B).sum(axis=0)

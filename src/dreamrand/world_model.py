@@ -270,6 +270,8 @@ def transition_loss_batch(params: WorldModelParams, hs, z_target, r_target, d_ta
     Aggregation is sum over time, mean over the batch. Returns
     (metrics, d_hs, head_grads) where head_grads maps head parameter names to
     gradient arrays and d_hs is the upstream gradient for BPTT.
+    ``metrics["per_sequence"]`` holds each sequence's summed-over-time joint
+    loss, shape (B,).
     """
     hs = np.asarray(hs, dtype=np.float64)
     T, B, d_dim = hs.shape
@@ -321,7 +323,8 @@ def transition_loss_batch(params: WorldModelParams, hs, z_target, r_target, d_ta
         "w_done": H.T @ d_u,
         "b_done": np.array([d_u.sum()]),
     }
-    metrics = {"loss": float(loss), "lz": lz, "lr": lr, "ld": ld}
+    per_sequence = (lz_each + alpha_r * lr_each + alpha_d * ld_each).reshape(T, B).sum(axis=0)
+    metrics = {"loss": float(loss), "lz": lz, "lr": lr, "ld": ld, "per_sequence": per_sequence}
     return metrics, d_hs.reshape(T, B, d_dim), head_grads
 
 

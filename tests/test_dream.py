@@ -15,6 +15,7 @@ from dreamrand.dream import (
 )
 from dreamrand.numerics import rng_stream
 from dreamrand.world_model import WorldModelParams
+from reference_rollout import reference_rollout_batch
 
 
 def make_model(seed=0, n=3, k=2, d=10, action_dim=2, done_logit=None, p_train=0.05):
@@ -326,10 +327,16 @@ class TestBatchedRollout:
             {"p_infer": 0.0, "policy": "off"},
             {"p_infer": 0.2, "mc_samples": 3},
             {"p_infer": 0.0, "policy": "off", "noise_sigma": 0.3},
+            {"p_infer": 0.0, "policy": "step", "members": 3},
+            {"p_infer": 0.0, "policy": "episode", "members": 3},
         ],
     )
     def test_matches_single_env_rollouts(self, kw):
         model = make_model(51)
+        kw = dict(kw)
+        members = kw.pop("members", 1)
+        if members > 1:
+            kw["ensemble"] = [model] + [make_model(60 + i) for i in range(members - 1)]
         cfg = cfg_for(model, max_ep_len=12, **kw)
         L = 4
         f_dim = model.n + model.hidden_dim
@@ -387,3 +394,128 @@ class TestBatchedRollout:
         out_zhc = rollout_batch(cfg, W, b, rngs(), include_c=True)
         out_zh = rollout_batch(cfg, W[:, :, :f_zh], b, rngs(), include_c=False)
         assert not np.allclose(out_zhc["returns"], out_zh["returns"])
+
+
+def _controllers(model, L, include_c=False, seed=70):
+    f_dim = model.n + (2 if include_c else 1) * model.hidden_dim
+    rng = rng_stream(seed, "controllers", L)
+    return rng.normal(size=(L, model.action_dim, f_dim)) * 0.5, rng.normal(size=(L, model.action_dim)) * 0.2
+
+
+class TestReferenceOracle:
+    """The vectorised rollout against the per-lane reference loop: equal
+    returns, steps, truncation, mask counts and generator end states."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"p_infer": 0.1, "policy": "step"},
+            {"p_infer": 0.1, "policy": "episode"},
+            {"p_infer": 0.0, "policy": "off"},
+            {"p_infer": 0.2, "mc_samples": 3},
+            {"p_infer": 0.0, "policy": "off", "noise_sigma": 0.3},
+            {"p_infer": 0.0, "policy": "step", "members": 3},
+            {"p_infer": 0.0, "policy": "episode", "members": 3},
+            {"p_infer": 0.1, "policy": "step", "include_c": True},
+            {"p_infer": 0.1, "policy": "step", "z_init": ZInit.DATASET_STARTS},
+            {"p_infer": 0.2, "mc_samples": 3, "z_init": ZInit.DATASET_STARTS, "include_c": True},
+            {"p_infer": 0.1, "policy": "step", "rescale": "train"},
+            {"p_infer": 0.0, "policy": "step", "members": 2, "rescale": "train"},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v.value if hasattr(v, 'value') else v}" for k, v in kw.items()),
+    )
+    @pytest.mark.parametrize("L,max_ep_len,done_logit", [(1, 9, None), (24, 40, -1.5), (40, 6, -50.0)])
+    def test_bit_identical_to_reference(self, kw, L, max_ep_len, done_logit):
+        kw = dict(kw)
+        include_c = kw.pop("include_c", False)
+        members = kw.pop("members", 1)
+        model = make_model(71, done_logit=done_logit)
+        if members > 1:
+            kw["ensemble"] = [model] + [make_model(72 + i, done_logit=done_logit) for i in range(members - 1)]
+        cfg = cfg_for(model, max_ep_len=max_ep_len, **kw)
+        W, b = _controllers(model, L, include_c)
+        starts = rng_stream(73, "starts").normal(size=(5, model.n))
+        want_rngs = [rng_stream(74, "oracle", i) for i in range(L)]
+        got_rngs = [rng_stream(74, "oracle", i) for i in range(L)]
+        want = reference_rollout_batch(cfg, W, b, want_rngs, starts=starts, include_c=include_c)
+        got = rollout_batch(cfg, W, b, got_rngs, starts=starts, include_c=include_c)
+        for key in ("returns", "steps", "truncated"):
+            assert np.array_equal(got[key], want[key]), key
+        assert got["masks_sampled"] == want["masks_sampled"]
+        assert [g.random() for g in got_rngs] == [g.random() for g in want_rngs]
+        if done_logit == -50.0:  # no episode ends early, so every lane truncates
+            assert got["truncated"].all() and np.all(got["steps"] == max_ep_len)
+
+
+class TestBatchProperties:
+    @pytest.mark.parametrize(
+        "kw", [{"p_infer": 0.1, "policy": "step"}, {"p_infer": 0.2, "mc_samples": 3}, {"p_infer": 0.1, "policy": "episode"}]
+    )
+    def test_lane_subset_matches_full_batch(self, kw):
+        # Draws depend only on the lane's own generator, so a lane's episode is
+        # the same alone or in company; returns agree up to matmul rounding,
+        # which depends on the row count.
+        model = make_model(80, done_logit=-2.0)
+        cfg = cfg_for(model, max_ep_len=30, **kw)
+        L = 12
+        W, b = _controllers(model, L)
+        full = rollout_batch(cfg, W, b, [rng_stream(81, "subset", i) for i in range(L)])
+        subset = np.array([1, 4, 5, 10])
+        part = rollout_batch(cfg, W[subset], b[subset], [rng_stream(81, "subset", i) for i in subset])
+        assert np.array_equal(part["steps"], full["steps"][subset])
+        assert np.allclose(part["returns"], full["returns"][subset], rtol=0.0, atol=1e-9)
+        for lane in subset:
+            alone = rollout_batch(cfg, W[lane : lane + 1], b[lane : lane + 1], [rng_stream(81, "subset", lane)])
+            assert alone["steps"][0] == full["steps"][lane]
+            assert alone["returns"][0] == pytest.approx(full["returns"][lane], rel=0.0, abs=1e-9)
+
+    def test_lane_order_is_irrelevant(self):
+        model = make_model(82, done_logit=-2.0)
+        cfg = cfg_for(model, p_infer=0.1, policy="step", max_ep_len=30)
+        L = 8
+        W, b = _controllers(model, L)
+        perm = rng_stream(83, "perm").permutation(L)
+        out = rollout_batch(cfg, W, b, [rng_stream(84, "order", i) for i in range(L)])
+        shuffled = rollout_batch(cfg, W[perm], b[perm], [rng_stream(84, "order", i) for i in perm])
+        assert np.array_equal(shuffled["steps"], out["steps"][perm])
+        assert np.allclose(shuffled["returns"], out["returns"][perm], rtol=0.0, atol=1e-9)
+
+
+class TestRolloutBoundaries:
+    def _args(self, L=3, include_c=False):
+        model = make_model(90)
+        W, b = _controllers(model, L, include_c)
+        return model, W, b, [rng_stream(91, "bounds", i) for i in range(L)]
+
+    def test_controller_w_with_extra_lanes_rejected(self):
+        model, W, b, rngs = self._args()
+        W_big, _ = _controllers(model, 4)
+        with pytest.raises(ValueError, match="controller_w"):
+            rollout_batch(cfg_for(model), W_big, b, rngs)
+
+    def test_controller_w_feature_width_rejected(self):
+        model, W, b, rngs = self._args()
+        with pytest.raises(ValueError, match="controller_w"):
+            rollout_batch(cfg_for(model), W[:, :, :-1], b, rngs)
+
+    def test_controller_w_without_c_rejected_when_include_c(self):
+        model, W, b, rngs = self._args()
+        with pytest.raises(ValueError, match="controller_w"):
+            rollout_batch(cfg_for(model), W, b, rngs, include_c=True)
+
+    def test_controller_b_shape_rejected(self):
+        model, W, b, rngs = self._args()
+        with pytest.raises(ValueError, match="controller_b"):
+            rollout_batch(cfg_for(model), W, b[:, :1], rngs)
+
+    def test_no_lanes_rejected(self):
+        model, W, b, _ = self._args()
+        with pytest.raises(ValueError, match="lane"):
+            rollout_batch(cfg_for(model), W[:0], b[:0], [])
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 4), (2, 5, 3)])
+    def test_starts_shape_rejected(self, shape):
+        model, W, b, rngs = self._args()
+        starts = np.zeros(shape)
+        with pytest.raises(ValueError, match="starts"):
+            rollout_batch(cfg_for(model, z_init=ZInit.DATASET_STARTS), W, b, rngs, starts=starts)

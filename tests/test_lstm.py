@@ -8,6 +8,8 @@ from dreamrand.lstm import (
     lstm_bptt,
     lstm_forward,
     lstm_step,
+    mask_uniform_count,
+    masks_from_uniforms,
     masks_to_arrays,
     sample_mask_set,
 )
@@ -105,6 +107,38 @@ class TestMaskSampling:
         a = all_ones_mask_set(3, 3)
         b = all_ones_mask_set(3, 3)
         assert a.tag != b.tag
+
+
+class TestMasksFromUniforms:
+    @pytest.mark.parametrize(
+        "p,action_dims,scale_rate",
+        [(0.3, (4, 5), None), (0.05, (), None), (0.2, (5,), 0.0), (0.1, (4, 5), 0.4), (0.0, (4, 5), None), (0.0, (5,), 0.25)],
+    )
+    def test_equals_sequential_sample_mask_set(self, p, action_dims, scale_rate):
+        r, d, count = 6, 7, 5
+        rng_seq, rng_block = rng_stream(60, "helper", str(p)), rng_stream(60, "helper", str(p))
+        masks = [sample_mask_set(p, r, d, action_dims=action_dims, rng=rng_seq, scale_rate=scale_rate) for _ in range(count)]
+        u = rng_block.random((count, mask_uniform_count(p, r, d)))
+        sx, sh = masks_from_uniforms(u, p, r, d, action_dims, scale_rate)
+        assert sx.shape == (count, 4, r) and sh.shape == (count, 4, d)
+        assert np.array_equal(sx, np.stack([m.scaled_x for m in masks]))
+        assert np.array_equal(sh, np.stack([m.scaled_h for m in masks]))
+        assert rng_seq.random() == rng_block.random()  # both generators end in the same state
+
+    def test_p_zero_consumes_no_draws(self):
+        assert mask_uniform_count(0.0, 6, 7) == 0
+        rng = rng_stream(61, "helper-p0")
+        for _ in range(3):
+            sample_mask_set(0.0, 6, 7, rng=rng)
+        assert rng.random() == rng_stream(61, "helper-p0").random()
+
+    def test_leading_dims_and_bad_width(self):
+        u = rng_stream(62, "helper-dims").random((2, 3, mask_uniform_count(0.2, 4, 5)))
+        sx, sh = masks_from_uniforms(u, 0.2, 4, 5, (3,))
+        assert sx.shape == (2, 3, 4, 4) and sh.shape == (2, 3, 4, 5)
+        assert np.all(sx[..., 3] == 1.0)
+        with pytest.raises(ValueError):
+            masks_from_uniforms(u[..., :-1], 0.2, 4, 5)
 
 
 class TestLstmStep:

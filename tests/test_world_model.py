@@ -273,13 +273,14 @@ class TestJointGradients:
         d_t = (rng.random((T, B)) < 0.5).astype(float)
         hs, _ = lstm_forward(params.lstm, xs)
         metrics, _, _ = transition_loss_batch(params, hs, z_t, r_t, d_t, 0.7, 1.3)
-        manual = 0.0
+        per_sequence = np.zeros(B)
         for b in range(B):
             for t in range(T):
                 pred = heads_forward(params, hs[t, b])
                 total, _ = transition_loss(pred, (z_t[t, b], r_t[t, b], d_t[t, b]), 0.7, 1.3)
-                manual += total
-        assert metrics["loss"] == pytest.approx(manual / B, rel=1e-12)
+                per_sequence[b] += total
+        assert metrics["loss"] == pytest.approx(per_sequence.sum() / B, rel=1e-12)
+        assert metrics["per_sequence"] == pytest.approx(per_sequence, rel=1e-12)
 
 
 class TestCheckpoint:
