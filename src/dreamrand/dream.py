@@ -352,9 +352,11 @@ def rollout_batch(
 
     mask_args = (cfg.p_infer, r, d, model.action_input_dims, cfg.scale_rate())
     per_set = mask_uniform_count(cfg.p_infer, r, d)
-    mc_k = 0 if cfg.mc_samples == 0 else (1 if cfg.p_infer == 0.0 else cfg.mc_samples)
+    # MC dropout draws mc_samples masks per lane-step; at p=0 every pass is
+    # the unmasked one, so it takes a single mask-free pass.
+    mc_k = cfg.mc_samples if cfg.p_infer > 0.0 else 0
     step_masks = cfg.mc_samples == 0 and cfg.policy == RandomizationPolicy.STEP
-    sets_per_step = mc_k if mc_k > 1 else int(step_masks)  # MaskSets drawn per lane-step
+    sets_per_step = mc_k if mc_k else int(step_masks)  # MaskSets drawn per lane-step
     m_u = sets_per_step * per_set  # mask uniforms per lane-step
     member_per_step = n_models > 1 and cfg.policy == RandomizationPolicy.STEP
     noisy = cfg.noise_sigma > 0.0
@@ -432,7 +434,7 @@ def rollout_batch(
             masks_sampled += A
             SX, SH = masks_from_uniforms(U[:, :m_u], *mask_args)
 
-        if mc_k > 1:
+        if mc_k:
             masks_sampled += A * mc_k
             sx, sh = masks_from_uniforms(U[:, :m_u].reshape(A * mc_k, per_set), *mask_args)
             h_all, c_all = cell(

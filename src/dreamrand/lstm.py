@@ -7,16 +7,26 @@ per gate) multiply into the gate pre-activations. Kept units are rescaled by
 unmasked pass; entries at action input indices are pinned to 1 and never
 rescaled, since zeroing an action could read as the agent acting.
 
-Gate order everywhere is (i, f, w, o): input gate, forget gate, cell write,
-output gate. Nonlinearities are applied when the cell and hidden state are
-formed, not in the pre-activations:
+Gate order in weights and masks is (i, f, w, o): input gate, forget gate,
+cell write, output gate. Nonlinearities are applied when the cell and hidden
+state are formed, not in the pre-activations:
 
     c_t = sigmoid(i) * tanh(w) + sigmoid(f) * c_{t-1}
     h_t = sigmoid(o) * tanh(c_t)
+
+``lstm_forward``/``lstm_backward`` keep only the recurrence in the Python
+time loop. The forward pass computes the masked input projection plus bias
+for all T*B rows in one batched matmul before the loop; each step adds one
+(4, B, d) @ (4, d, d) product of the masked previous hidden state, takes one
+sigmoid over the stacked o, i, f gates and forms c and h. The backward pass
+computes the step-independent gate factors for all steps before the loop,
+runs only dh, dc, the gate gradients and the recurrent product per step, and
+forms the weight and input gradients after the loop over the stacked gate
+gradients. Inside the unroll the gates are held in the order (o, i, f, w),
+so the three sigmoid gates sit side by side.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,7 +54,10 @@ __all__ = [
 GATE_NAMES = ("i", "f", "w", "o")
 GATE_I, GATE_F, GATE_W, GATE_O = range(4)
 
-_mask_tags = itertools.count(1)
+# Gate order inside lstm_forward/lstm_backward: _UNROLL[k] is the stored gate
+# at unroll position k, and _STORED maps the gradients back.
+_UNROLL = [GATE_O, GATE_I, GATE_F, GATE_W]
+_STORED = np.argsort(_UNROLL)
 
 
 @dataclass
@@ -62,7 +75,6 @@ class MaskSet:
     p: float
     action_dims: tuple[int, ...] = ()
     scale_rate: float | None = None
-    tag: int = field(default_factory=lambda: next(_mask_tags))
     scaled_x: np.ndarray = field(init=False, repr=False)
     scaled_h: np.ndarray = field(init=False, repr=False)
 
@@ -284,46 +296,46 @@ def lstm_step(weights: LstmWeights, state: LstmState, x, mask: MaskSet) -> LstmS
 
 @dataclass
 class LstmCache:
-    """Intermediates saved by lstm_forward for the backward pass."""
+    """Intermediates saved by lstm_forward for the backward pass.
 
-    xm: np.ndarray  # (T, 4, B, r) masked-and-rescaled inputs
-    hm: np.ndarray  # (T, 4, B, d) masked-and-rescaled previous hidden states
-    sig_i: np.ndarray
-    sig_f: np.ndarray
-    sig_o: np.ndarray
-    tanh_w: np.ndarray
-    tanh_c: np.ndarray
+    Gate axes are in unroll order (o, i, f, w) and lead each block, so one
+    gate's values over all T steps are contiguous.
+    """
+
+    xm: np.ndarray  # (4, T, B, r) masked-and-rescaled inputs
+    hm: np.ndarray  # (4, T, B, d) masked-and-rescaled previous hidden states
+    sig: np.ndarray  # (3, T, B, d) sigmoids of the o, i, f pre-activations
+    tanh_w: np.ndarray  # (T, B, d)
+    tanh_c: np.ndarray  # (T, B, d)
     cs: np.ndarray  # (T+1, B, d), cs[0] = c0
-    sx: np.ndarray  # scaled input masks as passed (broadcastable)
-    sh: np.ndarray
-    per_step_masks: bool
-    mask_tags: np.ndarray  # (T, B) tag of the mask applied at each step
+    sx: np.ndarray  # (4, T or 1, B or 1, r) scaled input masks
+    sh: np.ndarray  # (4, T or 1, B or 1, d) scaled hidden masks
 
 
 def _mask_views(sx, sh, T, B, r, d):
-    """Normalize mask arrays to (T-or-1, B, 4, dim) float blocks."""
+    """Scaled masks as gate-major (4, T-or-1, B-or-1, dim) blocks in unroll
+    gate order; None stands for all-ones masks."""
     if (sx is None) != (sh is None):
         raise ValueError("sx and sh must be given together")
     if sx is None:
-        sx = np.ones((1, 1, 4, r))
-        sh = np.ones((1, 1, 4, d))
-        return sx, sh, False
+        return np.ones((4, 1, 1, r)), np.ones((4, 1, 1, d))
     sx = np.asarray(sx, dtype=np.float64)
     sh = np.asarray(sh, dtype=np.float64)
     if sx.ndim == 3:  # (B, 4, r): one mask per sequence
-        sx = sx[None]
-        sh = sh[None]
-        per_step = False
-    elif sx.ndim == 4:
-        per_step = sx.shape[0] > 1
-    else:
+        sx, sh = sx[None], sh[None]
+    elif sx.ndim != 4:
         raise ValueError("mask arrays must be (B, 4, dim) or (T, B, 4, dim)")
-    if sx.shape[1] not in (1, B) or sx.shape[3] != r or sh.shape[3] != d:
+    if (
+        sx.shape[0] not in (1, T)
+        or sx.shape[1] not in (1, B)
+        or sx.shape[2:] != (4, r)
+        or sh.shape != sx.shape[:2] + (4, d)
+    ):
         raise ValueError("mask arrays do not match the input block")
-    return sx, sh, per_step
+    return sx.transpose(2, 0, 1, 3)[_UNROLL], sh.transpose(2, 0, 1, 3)[_UNROLL]
 
 
-def lstm_forward(weights: LstmWeights, xs, sx=None, sh=None, h0=None, c0=None, mask_tags=None):
+def lstm_forward(weights: LstmWeights, xs, sx=None, sh=None, h0=None, c0=None):
     """Unroll the masked LSTM over an input block.
 
     xs: (T, B, r). sx/sh: scaled masks, (B, 4, r)/(B, 4, d) for per-sequence
@@ -336,44 +348,40 @@ def lstm_forward(weights: LstmWeights, xs, sx=None, sh=None, h0=None, c0=None, m
     d = weights.hidden_dim
     if r != weights.input_dim:
         raise ValueError(f"input dim {r} does not match weights ({weights.input_dim})")
-    sx, sh, per_step = _mask_views(sx, sh, T, B, r, d)
+    sx, sh = _mask_views(sx, sh, T, B, r, d)
     h = np.zeros((B, d)) if h0 is None else np.array(h0, dtype=np.float64)
-    c = np.zeros((B, d)) if c0 is None else np.array(c0, dtype=np.float64)
+    cs = np.empty((T + 1, B, d))
+    cs[0] = 0.0 if c0 is None else c0
 
-    wxT = weights.w_x.transpose(0, 2, 1)  # (4, r, d)
-    whT = weights.w_h.transpose(0, 2, 1)  # (4, d, d)
-    xm = np.empty((T, 4, B, r))
-    hm = np.empty((T, 4, B, d))
-    sig_i = np.empty((T, B, d))
-    sig_f = np.empty((T, B, d))
-    sig_o = np.empty((T, B, d))
+    # Input projection plus bias for every step, one matmul over the gates.
+    xm = np.multiply(xs, sx, order="C")  # (4, T, B, r)
+    wxT = np.ascontiguousarray(weights.w_x[_UNROLL].transpose(0, 2, 1))  # (4, r, d)
+    xw = np.matmul(xm.reshape(4, T * B, r), wxT)
+    xw += weights.b[_UNROLL][:, None, :]
+    xw = xw.reshape(4, T, B, d)
+
+    whT = np.ascontiguousarray(weights.w_h[_UNROLL].transpose(0, 2, 1))  # (4, d, d)
+    hm = np.empty((4, T, B, d))
+    sig = np.empty((3, T, B, d))
     tanh_w = np.empty((T, B, d))
     tanh_c = np.empty((T, B, d))
-    cs = np.empty((T + 1, B, d))
-    cs[0] = c
     hs = np.empty((T, B, d))
-    tags = np.full((T, B), -1, dtype=np.int64)
-    if mask_tags is not None:
-        tags[:] = np.asarray(mask_tags, dtype=np.int64)
-
+    per_step = sh.shape[1] > 1
+    sh_t = sh[:, 0]
+    c = cs[0]
     for t in range(T):
-        sx_t = sx[t] if per_step else sx[0]  # (B, 4, r)
-        sh_t = sh[t] if per_step else sh[0]
-        xm[t] = xs[t][None, :, :] * sx_t.transpose(1, 0, 2)
-        hm[t] = h[None, :, :] * sh_t.transpose(1, 0, 2)
-        pre = np.matmul(xm[t], wxT) + np.matmul(hm[t], whT) + weights.b[:, None, :]
-        sig_i[t] = sigmoid(pre[GATE_I])
-        sig_f[t] = sigmoid(pre[GATE_F])
-        sig_o[t] = sigmoid(pre[GATE_O])
-        tanh_w[t] = np.tanh(pre[GATE_W])
-        c = sig_i[t] * tanh_w[t] + sig_f[t] * c
-        cs[t + 1] = c
-        tanh_c[t] = np.tanh(c)
-        h = sig_o[t] * tanh_c[t]
-        hs[t] = h
+        if per_step:
+            sh_t = sh[:, t]
+        pre = np.matmul(np.multiply(h, sh_t, out=hm[:, t]), whT)
+        pre += xw[:, t]
+        s_oif = sigmoid(pre[:3])
+        sig[:, t] = s_oif
+        tw = np.tanh(pre[3], out=tanh_w[t])
+        c = np.multiply(s_oif[2], c, out=cs[t + 1])
+        c += s_oif[1] * tw
+        h = np.multiply(s_oif[0], np.tanh(c, out=tanh_c[t]), out=hs[t])
 
-    cache = LstmCache(xm, hm, sig_i, sig_f, sig_o, tanh_w, tanh_c, cs, sx, sh, per_step, tags)
-    return hs, cache
+    return hs, LstmCache(xm, hm, sig, tanh_w, tanh_c, cs, sx, sh)
 
 
 @dataclass
@@ -398,45 +406,47 @@ def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs, d_h_final=None, 
     d_hs = np.asarray(d_hs, dtype=np.float64)
     T, B, d = d_hs.shape
     r = weights.input_dim
-    g_wx = np.zeros_like(weights.w_x)
-    g_wh = np.zeros_like(weights.w_h)
-    g_b = np.zeros_like(weights.b)
-    g_xs = np.empty((T, B, r))
+    s_o, s_i, s_f = cache.sig
+    tw, tc = cache.tanh_w, cache.tanh_c
+    # Step-independent factors: d_pre_o = dh * f_o, dc = dh * f_c + dc_next,
+    # and (d_pre_i, d_pre_f, d_pre_w) = dc * f_ifw.
+    ds_o, ds_i, ds_f = cache.sig * (1.0 - cache.sig)
+    f_o = tc * ds_o
+    f_c = s_o * (1.0 - tc * tc)
+    f_ifw = np.empty((3, T, B, d))
+    np.multiply(tw, ds_i, out=f_ifw[0])
+    np.multiply(cache.cs[:-1], ds_f, out=f_ifw[1])
+    np.multiply(s_i, 1.0 - tw * tw, out=f_ifw[2])
+
+    w_h = weights.w_h[_UNROLL]
+    d_pre = np.empty((4, T, B, d))
     dh_next = np.zeros((B, d)) if d_h_final is None else np.array(d_h_final, dtype=np.float64)
     dc_next = np.zeros((B, d)) if d_c_final is None else np.array(d_c_final, dtype=np.float64)
-    d_pre = np.empty((4, B, d))
-
+    per_step = cache.sh.shape[1] > 1
+    sh_t = cache.sh[:, 0]
     for t in reversed(range(T)):
+        if per_step:
+            sh_t = cache.sh[:, t]
         dh = d_hs[t] + dh_next
-        si, sf, so = cache.sig_i[t], cache.sig_f[t], cache.sig_o[t]
-        tw, tc = cache.tanh_w[t], cache.tanh_c[t]
-        d_pre[GATE_O] = dh * tc * so * (1.0 - so)
-        dc = dh * so * (1.0 - tc * tc) + dc_next
-        d_pre[GATE_I] = dc * tw * si * (1.0 - si)
-        d_pre[GATE_W] = dc * si * (1.0 - tw * tw)
-        d_pre[GATE_F] = dc * cache.cs[t] * sf * (1.0 - sf)
-        dc_next = dc * sf
+        np.multiply(dh, f_o[t], out=d_pre[0, t])
+        dc = dh * f_c[t]
+        dc += dc_next
+        np.multiply(dc, f_ifw[:, t], out=d_pre[1:, t])
+        dc_next = dc * s_f[t]
+        d_hm = np.matmul(d_pre[:, t], w_h)  # (4, B, d)
+        d_hm *= sh_t
+        dh_next = np.add.reduce(d_hm, axis=0)
 
-        g_wx += np.matmul(d_pre.transpose(0, 2, 1), cache.xm[t])
-        g_wh += np.matmul(d_pre.transpose(0, 2, 1), cache.hm[t])
-        g_b += d_pre.sum(axis=1)
-
-        sx_t = cache.sx[t] if cache.per_step_masks else cache.sx[0]
-        sh_t = cache.sh[t] if cache.per_step_masks else cache.sh[0]
-        d_xm = np.matmul(d_pre, weights.w_x)  # (4, B, r)
-        g_xs[t] = np.einsum("gbr,bgr->br", d_xm, sx_t)
-        d_hm = np.matmul(d_pre, weights.w_h)  # (4, B, d)
-        dh_next = np.einsum("gbd,bgd->bd", d_hm, sh_t)
-
-    return LstmGrads(g_wx, g_wh, g_b, g_xs, dh_next, dc_next)
-
-
-def masks_to_arrays(masks: Sequence[MaskSet]):
-    """Stack per-sequence MaskSets into (B, 4, r)/(B, 4, d) scaled arrays."""
-    sx = np.stack([m.scaled_x for m in masks])
-    sh = np.stack([m.scaled_h for m in masks])
-    tags = np.array([m.tag for m in masks], dtype=np.int64)
-    return sx, sh, tags
+    # Weight and input gradients over all steps at once.
+    d_rows = d_pre.reshape(4, T * B, d)
+    d_rows_T = d_rows.transpose(0, 2, 1)
+    g_wx = np.matmul(d_rows_T, cache.xm.reshape(4, T * B, r))
+    g_wh = np.matmul(d_rows_T, cache.hm.reshape(4, T * B, d))
+    g_b = np.matmul(np.ones(T * B), d_rows)  # the sum over rows
+    d_xm = np.matmul(d_rows, weights.w_x[_UNROLL]).reshape(4, T, B, r)
+    d_xm *= cache.sx
+    g_xs = d_xm.sum(axis=0)
+    return LstmGrads(g_wx[_STORED], g_wh[_STORED], g_b[_STORED], g_xs, dh_next, dc_next)
 
 
 def lstm_bptt(weights: LstmWeights, inputs, masks: Sequence[MaskSet], upstream):
@@ -454,7 +464,6 @@ def lstm_bptt(weights: LstmWeights, inputs, masks: Sequence[MaskSet], upstream):
         raise ValueError("inputs, masks, and upstream gradients must have equal length")
     sx = np.stack([m.scaled_x for m in masks])[:, None]  # (T, 1, 4, r)
     sh = np.stack([m.scaled_h for m in masks])[:, None]
-    tags = np.array([[m.tag] for m in masks], dtype=np.int64)
-    _, cache = lstm_forward(weights, inputs[:, None, :], sx, sh, mask_tags=tags)
+    _, cache = lstm_forward(weights, inputs[:, None, :], sx, sh)
     grads = lstm_backward(weights, cache, upstream[:, None, :])
     return LstmGrads(grads.w_x, grads.w_h, grads.b, grads.xs[:, 0, :], grads.h0[0], grads.c0[0])

@@ -57,10 +57,11 @@ def rng_stream(seed: int, *ids) -> np.random.Generator:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, vectorized."""
+    """Numerically stable logistic function, vectorized:
+    exp(min(x, 0)) / (1 + exp(-|x|)), so no exp argument is positive."""
     x = np.asarray(x, dtype=np.float64)
-    t = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, t) / (1.0 + t)
+    out = np.exp(np.minimum(x, 0.0))
+    out /= 1.0 + np.exp(-np.abs(x))
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,25 +1,20 @@
 """World-model training on trajectory datasets.
 
-Each training sequence gets one dropout MaskSet sampled at p_train and held
-fixed across the whole sequence; sequences in a mini-batch carry independent
-masks. Loss evaluation under swept inference-dropout rates draws a fresh mask
-per step instead, mirroring dream-time step randomization.
+Each training sequence gets one set of dropout masks drawn at p_train and
+held fixed across the whole sequence; sequences in a mini-batch carry
+independent masks, drawn as one block of uniforms per batch. Loss evaluation
+under swept inference-dropout rates draws a fresh mask per step instead,
+mirroring dream-time step randomization.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import (
-    lstm_backward,
-    lstm_forward,
-    mask_uniform_count,
-    masks_from_uniforms,
-    masks_to_arrays,
-    sample_mask_set,
-)
+from .lstm import lstm_backward, lstm_forward, mask_uniform_count, masks_from_uniforms
+from .lstm import sample_mask_set  # noqa: F401  (unused here; perfbench probes rebind this name)
 from .numerics import global_norm, rng_stream
 from .world_model import WorldModelParams, transition_loss_batch
 
@@ -49,7 +44,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     grad_clip: float = 5.0
     seed: int = 0
-    record_mask_trace: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.p_train < 1.0:
@@ -70,7 +64,6 @@ class LossReport:
     lz: np.ndarray
     lr: np.ndarray
     ld: np.ndarray
-    mask_trace: list | None = None
 
     def __post_init__(self):
         for name in ("train_loss", "test_loss", "lz", "lr", "ld"):
@@ -156,14 +149,10 @@ def make_windows(trajectories, seq_len):
 
 
 def _batch_loss_and_grads(params, xb, zb, rb, db, masks, alpha_r, alpha_d):
-    """Forward + backward over one mini-batch; blocks arrive (B, T, ...)."""
-    xs = xb.transpose(1, 0, 2)
-    if masks is None:
-        sx = sh = tags = None
-    else:
-        sx, sh, tags = masks_to_arrays(masks)
-        tags = tags[None, :]
-    hs, cache = lstm_forward(params.lstm, xs, sx, sh, mask_tags=tags)
+    """Forward + backward over one mini-batch; blocks arrive (B, T, ...) and
+    ``masks`` is a per-sequence (sx, sh) pair or None."""
+    sx, sh = (None, None) if masks is None else masks
+    hs, cache = lstm_forward(params.lstm, xb.transpose(1, 0, 2), sx, sh)
     metrics, d_hs, head_grads = transition_loss_batch(
         params, hs, zb.transpose(1, 0, 2), rb.T, db.T, alpha_r, alpha_d
     )
@@ -171,7 +160,7 @@ def _batch_loss_and_grads(params, xb, zb, rb, db, masks, alpha_r, alpha_d):
     grads = [lstm_grads.w_x, lstm_grads.w_h, lstm_grads.b] + [
         head_grads[name] for name in ("w_mdn", "b_mdn", "w_reward", "b_reward", "w_done", "b_done")
     ]
-    return metrics, grads, cache
+    return metrics, grads
 
 
 def _clip_grads(grads, max_norm):
@@ -197,6 +186,11 @@ def _eval_split_loss(params, blocks, alpha_r, alpha_d):
 
 def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
     """Train the dynamics model; returns (WorldModelParams, LossReport).
+
+    Each sequence of a mini-batch carries its own masks at p_train, held
+    fixed over its steps. A batch of b sequences draws its masks with one
+    ``mask_rng.random((b, count))`` call fed to ``masks_from_uniforms``,
+    which gives the masks of b sequential ``sample_mask_set`` calls.
 
     Deterministic given (dataset, cfg): identical seeds give bit-identical
     parameters and reports. ``masked_path=False`` is an equivalence hook that
@@ -234,11 +228,12 @@ def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
     opt = AdamOptimizer(arrays, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     order_rng = rng_stream(cfg.seed, "train", "order")
     mask_rng = rng_stream(cfg.seed, "train", "masks")
+    mask_args = (cfg.p_train, params.input_dim, cfg.hidden_size)
+    mask_count = mask_uniform_count(*mask_args)
 
     xb_all, zb_all, rb_all, db_all = train_blocks
     n_windows = xb_all.shape[0]
     epoch_rows = {"train_loss": [], "test_loss": [], "lz": [], "lr": [], "ld": []}
-    mask_trace = [] if cfg.record_mask_trace else None
 
     for epoch in range(cfg.epochs):
         perm = order_rng.permutation(n_windows)
@@ -247,20 +242,10 @@ def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
         for start in range(0, n_windows, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             b = len(idx)
+            masks = None
             if masked_path:
-                masks = [
-                    sample_mask_set(
-                        cfg.p_train,
-                        params.input_dim,
-                        cfg.hidden_size,
-                        action_dims=params.action_input_dims,
-                        rng=mask_rng,
-                    )
-                    for _ in range(b)
-                ]
-            else:
-                masks = None
-            metrics, grads, cache = _batch_loss_and_grads(
+                masks = masks_from_uniforms(mask_rng.random((b, mask_count)), *mask_args, params.action_input_dims)
+            metrics, grads = _batch_loss_and_grads(
                 params, xb_all[idx], zb_all[idx], rb_all[idx], db_all[idx], masks,
                 cfg.alpha_r, cfg.alpha_d,
             )
@@ -269,8 +254,6 @@ def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
                     f"non-finite loss at epoch {epoch + 1}, batch {start // cfg.batch_size}: "
                     f"{metrics}"
                 )
-            if mask_trace is not None:
-                mask_trace.append(cache.mask_tags.copy())
             _clip_grads(grads, cfg.grad_clip)
             opt.step(arrays, grads)
             for key_to, key_from in (("loss", "loss"), ("lz", "lz"), ("lr", "lr"), ("ld", "ld")):
@@ -288,7 +271,6 @@ def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
         epoch_rows["lz"],
         epoch_rows["lr"],
         epoch_rows["ld"],
-        mask_trace=mask_trace,
     )
     return params, report
 

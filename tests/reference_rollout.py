@@ -96,8 +96,8 @@ def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts=N
         X = np.concatenate([Z[active], A], axis=1)
 
         if cfg.mc_samples > 0:
-            K = 1 if cfg.p_infer == 0.0 else cfg.mc_samples
-            if K > 1:
+            K = cfg.mc_samples
+            if cfg.p_infer > 0.0:
                 sx_mc = np.empty((active.size, K, 4, r))
                 sh_mc = np.empty((active.size, K, 4, d))
                 for j, lane in enumerate(active):

@@ -329,6 +329,7 @@ class TestBatchedRollout:
             {"p_infer": 0.0, "policy": "off", "noise_sigma": 0.3},
             {"p_infer": 0.0, "policy": "step", "members": 3},
             {"p_infer": 0.0, "policy": "episode", "members": 3},
+            {"p_infer": 0.2, "mc_samples": 1},
         ],
     )
     def test_matches_single_env_rollouts(self, kw):
@@ -413,6 +414,7 @@ class TestReferenceOracle:
             {"p_infer": 0.1, "policy": "episode"},
             {"p_infer": 0.0, "policy": "off"},
             {"p_infer": 0.2, "mc_samples": 3},
+            {"p_infer": 0.2, "mc_samples": 1},
             {"p_infer": 0.0, "policy": "off", "noise_sigma": 0.3},
             {"p_infer": 0.0, "policy": "step", "members": 3},
             {"p_infer": 0.0, "policy": "episode", "members": 3},

@@ -5,12 +5,12 @@ from dreamrand.lstm import (
     LstmState,
     LstmWeights,
     all_ones_mask_set,
+    lstm_backward,
     lstm_bptt,
     lstm_forward,
     lstm_step,
     mask_uniform_count,
     masks_from_uniforms,
-    masks_to_arrays,
     sample_mask_set,
 )
 from dreamrand.numerics import finite_diff_grad, pack_arrays, rng_stream, unpack_arrays
@@ -102,11 +102,6 @@ class TestMaskSampling:
         rng = rng_stream(15, "mask-distinct")
         keys = {sample_mask_set(0.05, 8, 32, rng=rng).bytes_key() for _ in range(64)}
         assert len(keys) == 64
-
-    def test_tags_unique(self):
-        a = all_ones_mask_set(3, 3)
-        b = all_ones_mask_set(3, 3)
-        assert a.tag != b.tag
 
 
 class TestMasksFromUniforms:
@@ -278,16 +273,84 @@ class TestBptt:
         with pytest.raises(ValueError):
             lstm_bptt(w, xs, masks[:-1], upstream)
 
-    def test_forward_records_mask_tags(self):
-        rng = rng_stream(36, "tags")
-        w = LstmWeights.init(4, 3, rng)
-        masks = [sample_mask_set(0.2, 3, 4, rng=rng) for _ in range(2)]
-        sx, sh, tags = masks_to_arrays(masks)
-        xs = rng.normal(size=(5, 2, 3))
-        _, cache = lstm_forward(w, xs, sx, sh, mask_tags=tags[None, :])
-        assert cache.mask_tags.shape == (5, 2)
-        # one mask per sequence: identical tag at every step of a sequence
-        assert np.all(cache.mask_tags == cache.mask_tags[0])
+
+def _gradcheck_ok(got, want):
+    err = np.abs(got - want)
+    return bool(np.all(err <= 1e-4 * np.maximum(np.abs(want), np.abs(got)) + 1e-8))
+
+
+class TestBatchedPasses:
+    """lstm_forward/lstm_backward at B > 1 against finite differences and
+    against a step-by-step lstm_step loop."""
+
+    T, B, d, r = 4, 3, 5, 4
+
+    def _case(self, seed, masks, states):
+        T, B, d, r = self.T, self.B, self.d, self.r
+        rng = rng_stream(seed, "batched")
+        w = LstmWeights.init(d, r, rng)
+        xs = rng.normal(size=(T, B, r))
+        lead = (B,) if masks == "sequence" else (T, B)
+        count = mask_uniform_count(0.4, r, d)
+        sx, sh = masks_from_uniforms(rng.random(lead + (count,)), 0.4, r, d, (r - 1,))
+        upstream = rng.normal(size=(T, B, d))
+        if states:
+            h0, c0 = rng.normal(size=(B, d)) * 0.5, rng.normal(size=(B, d)) * 0.5
+            d_h_final, d_c_final = rng.normal(size=(B, d)), rng.normal(size=(B, d))
+        else:
+            h0 = c0 = d_h_final = d_c_final = None
+        return w, xs, sx, sh, upstream, h0, c0, d_h_final, d_c_final
+
+    @pytest.mark.parametrize("masks,states", [("sequence", False), ("step", False), ("sequence", True)])
+    def test_matches_finite_differences(self, masks, states):
+        w, xs, sx, sh, upstream, h0, c0, dhf, dcf = self._case(80, masks, states)
+        zeros = np.zeros((self.B, self.d))
+        h0_, c0_ = (zeros, zeros) if h0 is None else (h0, c0)
+
+        def loss(w2=w, xs2=xs, h02=h0_, c02=c0_):
+            hs, cache = lstm_forward(w2, xs2, sx, sh, h02, c02)
+            total = float(np.sum(hs * upstream))
+            if dhf is not None:
+                total += float(np.sum(hs[-1] * dhf) + np.sum(cache.cs[-1] * dcf))
+            return total
+
+        _, cache = lstm_forward(w, xs, sx, sh, h0, c0)
+        g = lstm_backward(w, cache, upstream, dhf, dcf)
+        templates = [w.w_x, w.w_h, w.b]
+        numeric = unpack_arrays(
+            finite_diff_grad(lambda v: loss(w2=LstmWeights(*unpack_arrays(v, templates))), pack_arrays(templates)),
+            templates,
+        )
+        numeric.append(finite_diff_grad(lambda v: loss(xs2=v), xs))
+        numeric.append(finite_diff_grad(lambda v: loss(h02=v), h0_))
+        numeric.append(finite_diff_grad(lambda v: loss(c02=v), c0_))
+        for name, got, want in zip(("w_x", "w_h", "b", "xs", "h0", "c0"), (g.w_x, g.w_h, g.b, g.xs, g.h0, g.c0), numeric):
+            assert got.shape == want.shape, name
+            assert _gradcheck_ok(got, want), name
+
+    def test_forward_matches_step_loop(self):
+        T, B, d, r = self.T, self.B, self.d, self.r
+        rng = rng_stream(81, "batched-step")
+        w = LstmWeights.init(d, r, rng)
+        xs = rng.normal(size=(T, B, r))
+        masks = [[sample_mask_set(0.3, r, d, action_dims=(r - 1,), rng=rng) for _ in range(B)] for _ in range(T)]
+        sx = np.array([[m.scaled_x for m in row] for row in masks])
+        sh = np.array([[m.scaled_h for m in row] for row in masks])
+        h0, c0 = rng.normal(size=(B, d)) * 0.5, rng.normal(size=(B, d)) * 0.5
+        hs, cache = lstm_forward(w, xs, sx, sh, h0, c0)
+        for b in range(B):
+            state = LstmState(h0[b], c0[b])
+            for t in range(T):
+                state = lstm_step(w, state, xs[t, b], masks[t][b])
+                np.testing.assert_allclose(hs[t, b], state.h, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(cache.cs[t + 1, b], state.c, rtol=0, atol=1e-12)
+
+    def test_mask_shape_mismatch_rejected(self):
+        w, xs, sx, sh, *_ = self._case(82, "step", False)
+        with pytest.raises(ValueError):
+            lstm_forward(w, xs[:-1], sx, sh)
+        with pytest.raises(ValueError):
+            lstm_forward(w, xs, sx, sh[..., :-1])
 
 
 class TestWeights:

@@ -120,6 +120,19 @@ class TestSmallHelpers:
         x = np.array([-2.0, 0.5, 3.0])
         np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
 
+    def test_sigmoid_equals_branch_form_bit_for_bit(self):
+        # The branch form where(x >= 0, 1, t) / (1 + t), t = exp(-|x|), is
+        # the reference: sigmoid must reproduce it exactly, extremes included.
+        x = np.concatenate([
+            rng_stream(6, "sigmoid").normal(size=20_000) * np.repeat([0.1, 1.0, 10.0, 100.0], 5_000),
+            [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 800.0, -800.0, np.inf, -np.inf, np.nan],
+        ])
+        t = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0, t) / (1.0 + t)
+        assert np.array_equal(sigmoid(x), want, equal_nan=True)
+        assert sigmoid(-3.0) == np.exp(-3.0) / (1.0 + np.exp(-3.0))
+        assert isinstance(sigmoid(0.25), float)
+
     def test_pack_unpack_roundtrip(self):
         rng = rng_stream(5, "pack")
         arrays = [rng.normal(size=(3, 2)), rng.normal(size=4), rng.normal(size=(1, 1, 5))]

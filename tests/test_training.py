@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dreamrand import training
 from dreamrand.envs import Dataset, DodgeWorld, TrackWorld, collect_trajectories, random_policy
+from dreamrand.lstm import lstm_forward, mask_uniform_count, masks_from_uniforms
 from dreamrand.numerics import rng_stream
 from dreamrand.training import (
     AdamOptimizer,
@@ -59,19 +61,33 @@ class TestTrainDynamics:
         with pytest.raises(ValueError):
             train_dynamics(ds, cfg, masked_path=False)
 
-    def test_mask_constant_within_sequences(self):
+    def test_mask_constant_within_sequences(self, monkeypatch):
+        # Every training forward pass gets one mask per sequence, held over
+        # all its steps; the sequences of a batch carry distinct masks, and
+        # the masks are the "masks" stream's uniforms, drawn in order.
         ds = tiny_dataset()
-        cfg = TrainConfig(
-            hidden_size=8, epochs=1, seq_len=16, batch_size=4, seed=9, p_train=0.3,
-            record_mask_trace=True,
-        )
-        _, report = train_dynamics(ds, cfg)
-        assert report.mask_trace
-        for tags in report.mask_trace:
-            # every step of a sequence saw the same MaskSet ...
-            assert np.all(tags == tags[0])
-            # ... and sequences in the batch carried independent ones
-            assert len(set(tags[0].tolist())) == tags.shape[1]
+        cfg = TrainConfig(hidden_size=8, epochs=2, seq_len=16, batch_size=4, seed=9, p_train=0.3)
+        seen = []
+
+        def spy(weights, xs, sx=None, sh=None, *rest):
+            if sx is not None:
+                seen.append((xs.shape[1], sx, sh))
+            return lstm_forward(weights, xs, sx, sh, *rest)
+
+        monkeypatch.setattr(training, "lstm_forward", spy)
+        params, _ = train_dynamics(ds, cfg)
+        n_windows = make_windows(ds.train_trajectories(), cfg.seq_len)[0].shape[0]
+        assert len(seen) == cfg.epochs * -(-n_windows // cfg.batch_size)
+        r, d = params.input_dim, cfg.hidden_size
+        for b, sx, sh in seen:
+            assert sx.shape == (b, 4, r) and sh.shape == (b, 4, d)
+            rows = {np.concatenate([x.ravel(), h.ravel()]).tobytes() for x, h in zip(sx, sh)}
+            assert len(rows) == b
+        count = mask_uniform_count(cfg.p_train, r, d)
+        u = rng_stream(cfg.seed, "train", "masks").random((sum(b for b, _, _ in seen), count))
+        want_x, want_h = masks_from_uniforms(u, cfg.p_train, r, d, params.action_input_dims)
+        assert np.array_equal(np.concatenate([sx for _, sx, _ in seen]), want_x)
+        assert np.array_equal(np.concatenate([sh for _, _, sh in seen]), want_h)
 
     def test_empty_dataset_rejected(self):
         ds = tiny_dataset()
@@ -102,10 +118,10 @@ class TestTrainDynamics:
 
         params = WorldModelParams.init(ds.n, 3, 8, ds.action_dim, rng_stream(11, "line"))
         arrays = params.param_arrays()
-        before, grads, _ = _batch_loss_and_grads(params, xb, zb, rb, db, None, 1.0, 1.0)
+        before, grads = _batch_loss_and_grads(params, xb, zb, rb, db, None, 1.0, 1.0)
         opt = AdamOptimizer(arrays, lr=1e-4)
         opt.step(arrays, grads)
-        after, _, _ = _batch_loss_and_grads(params, xb, zb, rb, db, None, 1.0, 1.0)
+        after, _ = _batch_loss_and_grads(params, xb, zb, rb, db, None, 1.0, 1.0)
         assert after["loss"] < before["loss"]
 
     def test_windows_skip_short_trajectories(self):
