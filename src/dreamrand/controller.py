@@ -18,7 +18,7 @@ import numpy as np
 
 from . import storage
 from .dream import DreamConfig, rollout_batch
-from .lstm import LstmState, all_ones_mask_set, lstm_step
+from .lstm import lstm_step
 from .numerics import rng_stream
 
 __all__ = [
@@ -381,18 +381,19 @@ def evaluate_real(ctrl: ControllerParams, env, model_params, n_episodes: int, se
         raise ValueError("controller features do not match the world model dimensions")
     if env.state_dim != model_params.n or env.action_dim != model_params.action_dim:
         raise ValueError("environment dimensions do not match the world model")
-    mask = all_ones_mask_set(model_params.input_dim, model_params.hidden_dim)
+    zhc = ctrl.features is FeatureSpec.ZHC
+    d = model_params.hidden_dim
     returns = np.empty(n_episodes)
     for ep in range(n_episodes):
         rng = rng_stream(seed, "real", ep)
         env_ep = copy.deepcopy(env)
         z = env_ep.reset(rng)
-        state = LstmState.zeros(model_params.hidden_dim)
+        h, c = np.zeros((1, d)), np.zeros((1, d))
         total, done = 0.0, False
         while not done:
-            a = act(ctrl, z, state.h, state.c if ctrl.features is FeatureSpec.ZHC else None)
+            a = act(ctrl, z, h[0], c[0] if zhc else None)
             z_next, r, done = env_ep.step(a, rng)
-            state = lstm_step(model_params.lstm, state, np.concatenate([z, a]), mask)
+            h, c = lstm_step(model_params.lstm, np.concatenate([z, a])[None], h, c)
             z = z_next
             total += r
         returns[ep] = total

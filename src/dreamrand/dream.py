@@ -1,27 +1,35 @@
 """Dream environments: episodic simulators whose transition function is the
 trained dynamics model under a configurable mask-randomization policy.
 
-Policies: Off uses the all-ones mask throughout; Episode samples one MaskSet
-per episode; Step samples a fresh MaskSet every step, so every step runs a
-different masked model. Baseline variants are selected through the config:
-MC-dropout (average mixture parameters, reward, termination, and hidden state
-over several independently masked passes, then sample once), Noisy (mask-free
-stepping plus Gaussian perturbation of the latent), and explicit ensembles
-(the active member is resampled per step or per episode, hidden state carried
-across members unchanged).
+Masks are the ``(sx, sh)`` arrays of ``dreamrand.lstm``, or None for the
+unmasked model. Policies: Off steps unmasked throughout; Episode draws one
+mask set per episode; Step draws a fresh mask set every step, so every step
+runs a different masked model. At p_infer = 0 no policy draws or counts a
+mask: every step runs unmasked. Baseline variants are selected through the
+config: MC-dropout (average mixture parameters, reward, termination, and
+hidden state over several independently masked passes, then sample once),
+Noisy (unmasked stepping plus Gaussian perturbation of the latent), and
+explicit ensembles (the active member is resampled per step or per episode,
+hidden state carried across members unchanged).
+
+``rollout_batch`` runs one episode per lane in lockstep; ``DreamEnv`` is its
+one-lane view. Both make their draws through ``_reset_draws`` and
+``_step_draws`` and step through ``_dream_step``.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .lstm import MaskSet, all_ones_mask_set, mask_uniform_count, masks_from_uniforms, sample_mask_set
+from .lstm import lstm_step, mask_uniform_count, masks_from_uniforms
+from .lstm import sample_mask_set  # noqa: F401  (unused here; perfbench probes rebind this name)
 from .numerics import sigmoid
-from .world_model import WorldModelParams, heads_raw, sample_transition_raw
+from .world_model import WorldModelParams, heads_raw
+from .world_model import sample_transition_raw  # noqa: F401  (unused here; perfbench probes rebind this name)
 
 __all__ = [
     "RandomizationPolicy",
@@ -111,15 +119,16 @@ class DreamEnvState:
     h: np.ndarray
     c: np.ndarray
     z_hat: np.ndarray
-    mask: MaskSet | None
+    mask: tuple | None  # (sx, sh) of the last step's masks, or None when unmasked
     model_idx: int
     t: int
     done: bool
     truncated: bool
 
 
-def mask_hash(mask: MaskSet) -> str:
-    return hashlib.sha1(mask.bytes_key()).hexdigest()[:12]
+def mask_hash(sx, sh) -> str:
+    """Short hash of the kept/dropped pattern of a mask block."""
+    return hashlib.sha1(np.packbits(sx != 0).tobytes() + np.packbits(sh != 0).tobytes()).hexdigest()[:12]
 
 
 def write_trace(records, path) -> None:
@@ -129,12 +138,130 @@ def write_trace(records, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-class DreamEnv:
-    """Single dream episode driver built around the trained dynamics model.
+def _mask_plan(cfg: DreamConfig):
+    """How each lane draws masks: (uniforms per mask set, mask sets drawn at
+    reset, mask sets drawn per step, the ``masks_from_uniforms`` arguments
+    that follow the uniforms).
 
-    The transition function is pure in (params, state, action, rng); the
-    instance only carries episode state, the mask-sampling counter, and the
-    optional step trace.
+    No masks are drawn at p_infer = 0; MC dropout draws mc_samples sets per
+    lane-step, under any policy.
+    """
+    model = cfg.model
+    args = (cfg.p_infer, model.input_dim, model.hidden_dim, model.action_input_dims, cfg.scale_rate())
+    per_set = mask_uniform_count(*args[:3])
+    if not per_set:
+        return 0, 0, 0, args
+    if cfg.mc_samples:
+        return per_set, 0, cfg.mc_samples, args
+    return per_set, int(cfg.policy == RandomizationPolicy.EPISODE), int(cfg.policy == RandomizationPolicy.STEP), args
+
+
+def _reset_draws(cfg: DreamConfig, rngs, starts, m_u):
+    """Each lane's reset draws, lane by lane, from its own generator: the
+    initial latent (``standard_normal(n)``, or ``integers(m)`` picking one of
+    the m ``starts``), then ``random(m_u)`` for an Episode mask when m_u > 0,
+    then ``integers(members)`` for an ensemble.
+
+    Returns the latents (L, n), the mask uniforms (L, m_u) and the members
+    (L,).
+    """
+    Z = np.empty((len(rngs), cfg.model.n))
+    U0 = np.empty((len(rngs), m_u))
+    member = np.zeros(len(rngs), dtype=np.int64)
+    for lane, rng in enumerate(rngs):
+        if cfg.z_init == ZInit.STANDARD_NORMAL:
+            rng.standard_normal(out=Z[lane])
+        else:
+            Z[lane] = starts[int(rng.integers(len(starts)))]
+        if m_u:
+            rng.random(out=U0[lane])
+        if len(cfg.ensemble) > 1:
+            member[lane] = rng.integers(len(cfg.ensemble))
+    return Z, U0, member
+
+
+def _step_draws(cfg: DreamConfig, rngs, member, m_u):
+    """Each active lane's draws for one step, lane by lane; this is the
+    dream's draw contract.
+
+    Each lane consumes only its own generator, in this order: the ensemble
+    member ``integers(members)`` (step cadence only, written into
+    ``member``); one ``random(m_u + n)`` call holding the step's m_u mask
+    uniforms (none, one mask set's or mc_samples sets' worth) followed by
+    the n component uniforms; ``standard_normal(n)``; the done uniform
+    ``random()``; and for the noisy variant ``standard_normal(n)``. This is
+    the order of the per-lane loop in ``tests/reference_rollout.py``, so
+    draws, returns, steps, truncation and mask counts match it bit for bit.
+
+    Returns (U (A, m_u + n), eps (A, n), done uniforms (A,), noise (A, n) or
+    None).
+    """
+    A, n = len(rngs), cfg.model.n
+    member_per_step = len(cfg.ensemble) > 1 and cfg.policy == RandomizationPolicy.STEP
+    U = np.empty((A, m_u + n))
+    E = np.empty((A, n))
+    D = np.empty(A)
+    N = np.empty((A, n)) if cfg.noise_sigma > 0.0 else None
+    for j, rng in enumerate(rngs):
+        if member_per_step:
+            member[j] = rng.integers(len(cfg.ensemble))
+        rng.random(out=U[j])
+        rng.standard_normal(out=E[j])
+        D[j] = rng.random()
+        if N is not None:
+            rng.standard_normal(out=N[j])
+    return U, E, D, N
+
+
+def _dream_step(cfg: DreamConfig, X, H, C, member, sx, sh, u_comp, E, D, N):
+    """One dream step for A lanes as array math.
+
+    X (A, r) holds each lane's [z, action], H and C its state; sx/sh hold
+    one mask set per lane, K per lane for MC dropout (K*A rows, lane-major),
+    or None. Runs the masked cell and the heads (the K passes averaged; an
+    ensemble's rows grouped by member), then the transition from the lanes'
+    draws: component choice from u_comp (A, n), the Gaussian draw from E,
+    the noise N, and the done test of D against d_hat.
+
+    Returns (h, c, z_next, r_hat, d_hat, ended).
+    """
+    A = len(X)
+    model = cfg.model
+    K = 1 if sx is None else len(sx) // A
+    if K > 1:
+        X, H, C = (np.repeat(a, K, axis=0) for a in (X, H, C))
+    if len(cfg.ensemble) == 1:
+        h, c = lstm_step(model.lstm, X, H, C, sx, sh)
+        _, pi, mu, sigma, r_hat, u = heads_raw(model, h)
+    else:  # explicit ensembles run unmasked (p_infer = 0)
+        h, c = np.empty(H.shape), np.empty(C.shape)
+        pi, mu, sigma = (np.empty((A, model.n, model.k)) for _ in range(3))
+        r_hat, u = np.empty(A), np.empty(A)
+        for m, params in enumerate(cfg.ensemble):
+            rows = np.flatnonzero(member == m)
+            if len(rows):
+                h[rows], c[rows] = lstm_step(params.lstm, X[rows], H[rows], C[rows])
+                _, pi[rows], mu[rows], sigma[rows], r_hat[rows], u[rows] = heads_raw(params, h[rows])
+    d_hat = sigmoid(u)
+    if K > 1:
+        h, c, pi, mu, sigma, r_hat, d_hat = (
+            a.reshape((A, K) + a.shape[1:]).mean(axis=1) for a in (h, c, pi, mu, sigma, r_hat, d_hat)
+        )
+
+    comp = np.minimum((u_comp[:, :, None] >= np.cumsum(pi, axis=2)).sum(axis=2), model.k - 1)
+    pick = (np.arange(A)[:, None], np.arange(model.n), comp)
+    z_next = mu[pick] + sigma[pick] * E
+    if N is not None:
+        z_next = z_next + cfg.noise_sigma * N
+    return h, c, z_next, r_hat, d_hat, D < d_hat
+
+
+class DreamEnv:
+    """Single dream episode driver: the one-lane view of ``rollout_batch``.
+
+    It draws through the same helpers and steps through the same array step
+    as ``rollout_batch``; the instance only carries episode state, the
+    mask-sampling counter, and the optional step trace.
     """
 
     def __init__(self, cfg: DreamConfig, starts: np.ndarray | None = None):
@@ -145,7 +272,7 @@ class DreamEnv:
         self.state: DreamEnvState | None = None
         self.masks_sampled = 0
         self.trace: list | None = None
-        self._all_ones = all_ones_mask_set(cfg.model.input_dim, cfg.model.hidden_dim)
+        self._plan = _mask_plan(cfg)
 
     @property
     def n(self) -> int:
@@ -159,67 +286,24 @@ class DreamEnv:
         self.trace = []
         return self.trace
 
-    def _sample_mask(self, rng) -> MaskSet:
-        model = self.cfg.model
-        self.masks_sampled += 1
-        return sample_mask_set(
-            self.cfg.p_infer,
-            model.input_dim,
-            model.hidden_dim,
-            action_dims=model.action_input_dims,
-            rng=rng,
-            scale_rate=self.cfg.scale_rate(),
-        )
-
     def reset(self, rng):
         """Start an episode: zero hidden/cell state, draw the initial latent,
-        and (under Episode policy) sample this episode's mask now."""
+        and (under Episode policy) this episode's mask."""
         cfg = self.cfg
-        model = cfg.model
-        if cfg.z_init == ZInit.STANDARD_NORMAL:
-            z = rng.standard_normal(model.n)
-        else:
-            if self.starts is None or len(self.starts) == 0:
-                raise ValueError("dataset_starts requires a non-empty start pool")
-            z = self.starts[int(rng.integers(len(self.starts)))].copy()
-        mask = None
-        if cfg.policy == RandomizationPolicy.EPISODE and cfg.mc_samples == 0:
-            mask = self._sample_mask(rng)
-        elif cfg.policy == RandomizationPolicy.OFF:
-            mask = self._all_ones
-        model_idx = int(rng.integers(len(cfg.ensemble))) if len(cfg.ensemble) > 1 else 0
-        self.state = DreamEnvState(
-            h=np.zeros(model.hidden_dim),
-            c=np.zeros(model.hidden_dim),
-            z_hat=z,
-            mask=mask,
-            model_idx=model_idx,
-            t=0,
-            done=False,
-            truncated=False,
-        )
+        if cfg.z_init == ZInit.DATASET_STARTS and (self.starts is None or len(self.starts) == 0):
+            raise ValueError("dataset_starts requires a non-empty start pool")
+        per_set, at_reset, _, mask_args = self._plan
+        Z, U0, member = _reset_draws(cfg, [rng], self.starts, per_set * at_reset)
+        self.masks_sampled += at_reset
+        d = cfg.model.hidden_dim
+        mask = masks_from_uniforms(U0, *mask_args) if at_reset else None
+        self.state = DreamEnvState(np.zeros(d), np.zeros(d), Z[0], mask, int(member[0]), 0, False, False)
         if self.trace is not None:
             self.trace.clear()
-        return z.copy(), self.state.h.copy()
-
-    def _forward_once(self, params, x, mask):
-        """One masked LSTM step plus heads; returns (h, c, pi, mu, sigma, r, d_hat)."""
-        s = self.state
-        xm = x[None, :] * mask.scaled_x
-        hm = s.h[None, :] * mask.scaled_h
-        pre = (
-            np.einsum("gdr,gr->gd", params.lstm.w_x, xm)
-            + np.einsum("gde,ge->gd", params.lstm.w_h, hm)
-            + params.lstm.b
-        )
-        c = sigmoid(pre[0]) * np.tanh(pre[2]) + sigmoid(pre[1]) * s.c
-        h = sigmoid(pre[3]) * np.tanh(c)
-        _, pi, mu, sigma, r_hat, done_logit = heads_raw(params, h)
-        return h, c, pi, mu, sigma, float(r_hat), float(sigmoid(done_logit))
+        return Z[0].copy(), self.state.h.copy()
 
     def step(self, action, rng):
-        """Advance the dream one step; dispatches to the MC-dropout or noisy
-        variant when the config selects one. Returns (z_hat', r_hat, done, h')."""
+        """Advance the dream one step. Returns (z_hat', r_hat, done, h')."""
         cfg = self.cfg
         s = self.state
         if s is None or s.done:
@@ -228,71 +312,37 @@ class DreamEnv:
         if action.shape != (self.action_dim,):
             raise ValueError(f"action has shape {action.shape}, expected ({self.action_dim},)")
 
-        if cfg.mc_samples > 0:
-            h, c, pi, mu, sigma, r_hat, d_hat = self._mc_forward(action, rng)
-        else:
-            if cfg.policy == RandomizationPolicy.STEP:
-                s.mask = self._sample_mask(rng)
-            if len(cfg.ensemble) > 1 and cfg.policy == RandomizationPolicy.STEP:
-                s.model_idx = int(rng.integers(len(cfg.ensemble)))
-            params = cfg.ensemble[s.model_idx]
-            x = np.concatenate([s.z_hat, action])
-            h, c, pi, mu, sigma, r_hat, d_hat = self._forward_once(params, x, s.mask)
+        per_set, _, sets, mask_args = self._plan
+        m_u = sets * per_set
+        member = np.array([s.model_idx])
+        U, E, D, N = _step_draws(cfg, [rng], member, m_u)
+        s.model_idx = int(member[0])
+        if sets:
+            self.masks_sampled += sets
+            s.mask = masks_from_uniforms(U[:, :m_u].reshape(sets, per_set), *mask_args)
+        sx, sh = s.mask or (None, None)
+        X = np.concatenate([s.z_hat, action])[None]
+        h, c, z_next, r_hat, d_hat, ended = _dream_step(cfg, X, s.h[None], s.c[None], member, sx, sh, U[:, m_u:], E, D, N)
 
-        z_next, _, done_sampled = sample_transition_raw(pi, mu, sigma, d_hat, rng)
-        if cfg.noise_sigma > 0.0:
-            z_next = z_next + cfg.noise_sigma * rng.standard_normal(self.n)
-
-        s.h, s.c, s.z_hat = h, c, z_next
+        s.h, s.c, s.z_hat = h[0], c[0], z_next[0]
         s.t += 1
-        truncated = not done_sampled and s.t >= cfg.max_ep_len
-        s.done = bool(done_sampled or truncated)
-        s.truncated = bool(truncated)
+        s.truncated = bool(not ended[0] and s.t >= cfg.max_ep_len)
+        s.done = bool(ended[0]) or s.truncated
+        r_hat, d_hat = float(r_hat[0]), float(d_hat[0])
         if self.trace is not None:
             self.trace.append(
                 {
                     "t": s.t,
-                    "z_hat": [float(v) for v in z_next],
+                    "z_hat": [float(v) for v in s.z_hat],
                     "action": [float(v) for v in action],
                     "r_hat": r_hat,
                     "d_hat": d_hat,
-                    "mask": mask_hash(s.mask) if s.mask is not None else None,
+                    "mask": None if s.mask is None else mask_hash(*s.mask),
                     "done": s.done,
                     "truncated": s.truncated,
                 }
             )
-        return z_next.copy(), r_hat, s.done, s.h.copy()
-
-    def mc_step(self, action, rng):
-        """Monte-Carlo dropout step (requires mc_samples >= 1 in the config)."""
-        if self.cfg.mc_samples < 1:
-            raise ValueError("mc_step requires mc_samples >= 1")
-        return self.step(action, rng)
-
-    def _mc_forward(self, action, rng):
-        """Average mixture parameters, reward, termination, and the hidden and
-        cell state over mc_samples independently masked passes.
-
-        At p_infer == 0 every pass is identical, so a single pass is taken and
-        the result is bit-for-bit the plain step.
-        """
-        cfg = self.cfg
-        s = self.state
-        params = cfg.ensemble[s.model_idx]
-        x = np.concatenate([s.z_hat, action])
-        passes = 1 if cfg.p_infer == 0.0 else cfg.mc_samples
-        acc = None
-        for _ in range(passes):
-            mask = self._sample_mask(rng) if cfg.p_infer > 0.0 else self._all_ones
-            out = self._forward_once(params, x, mask)
-            if acc is None:
-                acc = list(out)
-            else:
-                acc = [a + b for a, b in zip(acc, out)]
-        if passes > 1:
-            acc = [a / passes for a in acc]
-        h, c, pi, mu, sigma, r_hat, d_hat = acc
-        return h, c, pi, mu, sigma, float(r_hat), float(d_hat)
+        return s.z_hat.copy(), r_hat, s.done, s.h.copy()
 
 
 def rollout_batch(
@@ -311,38 +361,26 @@ def rollout_batch(
     ``include_c`` the features are [z, h, c] and controller_w is
     (L, action_dim, n + 2d). ``starts`` is an (m, n) pool of initial latents.
 
-    Draw contract: each lane consumes only its own generator, in the order
-    of the per-lane loop this replaced (``tests/reference_rollout.py``). At
-    reset: the initial latent (``standard_normal(n)`` or ``integers(m)``),
-    the Episode mask's uniforms, then the ensemble member. Each step: the
-    ensemble member (step cadence), then one ``random`` call holding the
-    step's mask uniforms (none, one MaskSet's or mc_samples MaskSets' worth)
-    followed by the n component uniforms, then ``standard_normal(n)``, the
-    done uniform ``random()``, and for the noisy variant
-    ``standard_normal(n)``. The masked cell and the heads run the same
-    matrix products on the same row groups as that loop, so returns, steps,
-    truncation and mask counts match it bit for bit. Against ``DreamEnv``,
-    and against the same lanes in a batch of another size, results match
-    only up to matmul rounding, because BLAS row results depend on the row
-    count.
+    Each lane draws from its own generator only, as ``_reset_draws`` and
+    ``_step_draws`` set out. Against ``DreamEnv``, and against the same lanes
+    in a batch of another size, results match only up to matmul rounding,
+    because BLAS row results depend on the row count.
 
     Returns a dict with per-lane returns, steps, truncation flags, and the
-    number of MaskSets sampled.
+    number of mask sets drawn.
     """
     model = cfg.model
-    n, d, r, k = model.n, model.hidden_dim, model.input_dim, model.k
-    a_dim = model.action_dim
+    n, d = model.n, model.hidden_dim
     L = len(lane_rngs)
-    n_models = len(cfg.ensemble)
     if L == 0:
         raise ValueError("rollout_batch needs at least one lane")
     f_dim = n + (2 * d if include_c else d)
     W = np.asarray(controller_w, dtype=np.float64)
     Bc = np.asarray(controller_b, dtype=np.float64)
-    if W.shape != (L, a_dim, f_dim):
-        raise ValueError(f"controller_w has shape {W.shape}, expected {(L, a_dim, f_dim)}")
-    if Bc.shape != (L, a_dim):
-        raise ValueError(f"controller_b has shape {Bc.shape}, expected {(L, a_dim)}")
+    if W.shape != (L, model.action_dim, f_dim):
+        raise ValueError(f"controller_w has shape {W.shape}, expected {(L, model.action_dim, f_dim)}")
+    if Bc.shape != (L, model.action_dim):
+        raise ValueError(f"controller_b has shape {Bc.shape}, expected {(L, model.action_dim)}")
     if starts is not None:
         starts = np.asarray(starts, dtype=np.float64)
         if starts.ndim != 2 or starts.shape[1] != n:
@@ -350,38 +388,11 @@ def rollout_batch(
     if cfg.z_init == ZInit.DATASET_STARTS and (starts is None or len(starts) == 0):
         raise ValueError("dataset_starts requires a non-empty start pool")
 
-    mask_args = (cfg.p_infer, r, d, model.action_input_dims, cfg.scale_rate())
-    per_set = mask_uniform_count(cfg.p_infer, r, d)
-    # MC dropout draws mc_samples masks per lane-step; at p=0 every pass is
-    # the unmasked one, so it takes a single mask-free pass.
-    mc_k = cfg.mc_samples if cfg.p_infer > 0.0 else 0
-    step_masks = cfg.mc_samples == 0 and cfg.policy == RandomizationPolicy.STEP
-    sets_per_step = mc_k if mc_k else int(step_masks)  # MaskSets drawn per lane-step
-    m_u = sets_per_step * per_set  # mask uniforms per lane-step
-    member_per_step = n_models > 1 and cfg.policy == RandomizationPolicy.STEP
-    noisy = cfg.noise_sigma > 0.0
-    masks_sampled = 0
-
-    # Reset, lane by lane.
-    Z = np.empty((L, n))
-    member = np.zeros(L, dtype=np.int64)
-    episode_masks = cfg.policy == RandomizationPolicy.EPISODE and cfg.mc_samples == 0
-    U0 = np.empty((L, per_set))
-    for lane, rng in enumerate(lane_rngs):
-        if cfg.z_init == ZInit.STANDARD_NORMAL:
-            rng.standard_normal(out=Z[lane])
-        else:
-            Z[lane] = starts[int(rng.integers(len(starts)))]
-        if episode_masks and per_set:
-            rng.random(out=U0[lane])
-        if n_models > 1:
-            member[lane] = rng.integers(n_models)
-    # Masks of the active lanes. None stands for all-ones masks (Off policy,
-    # MC at p=0), whose masked products equal the unmasked ones.
-    SX = SH = None
-    if episode_masks:
-        masks_sampled += L
-        SX, SH = masks_from_uniforms(U0, *mask_args)
+    per_set, at_reset, sets, mask_args = _mask_plan(cfg)
+    m_u = sets * per_set  # mask uniforms per lane-step
+    Z, U0, member = _reset_draws(cfg, lane_rngs, starts, per_set * at_reset)
+    masks_sampled = L * at_reset
+    SX, SH = masks_from_uniforms(U0, *mask_args) if at_reset else (None, None)
 
     # State of the active lanes only, compacted when lanes finish.
     lanes = np.arange(L)
@@ -390,92 +401,23 @@ def rollout_batch(
     C = np.zeros((L, d))
     Wa = np.ascontiguousarray(W)
     Ba = np.ascontiguousarray(Bc)
-    features = np.arange(n)
     truncated = np.zeros(L, dtype=bool)
     returns = np.zeros(L)
     steps = np.zeros(L, dtype=np.int64)
 
-    def cell(m, X, Hs, Cs, sx, sh):
-        """Masked LSTM step for the rows of one ensemble member."""
-        lstm = cfg.ensemble[m].lstm
-        if sx is None:
-            xm, hm = X, Hs
-        else:
-            xm = np.multiply(X[None], sx.transpose(1, 0, 2), order="C")  # (4, rows, r)
-            hm = np.multiply(Hs[None], sh.transpose(1, 0, 2), order="C")
-        # matmul over the gate axis makes the per-gate products
-        # (rows, r) @ w_x[g].T and (rows, d) @ w_h[g].T, one BLAS call each.
-        pre = np.matmul(xm, lstm.w_x.transpose(0, 2, 1)) + np.matmul(hm, lstm.w_h.transpose(0, 2, 1))
-        pre += lstm.b[:, None, :]
-        s_i, s_f, s_o = sigmoid(pre[[0, 1, 3]])
-        c = s_i * np.tanh(pre[2]) + s_f * Cs
-        return s_o * np.tanh(c), c
-
     for t in range(cfg.max_ep_len):
         A = len(lanes)
-        # The only per-lane Python: each lane's generator calls, in draw order.
-        U = np.empty((A, m_u + n))
-        E = np.empty((A, n))
-        D = np.empty(A)
-        N = np.empty((A, n)) if noisy else None
-        for j, rng in enumerate(rngs):
-            if member_per_step:
-                member[j] = rng.integers(n_models)
-            rng.random(out=U[j])
-            rng.standard_normal(out=E[j])
-            D[j] = rng.random()
-            if noisy:
-                rng.standard_normal(out=N[j])
-
+        U, E, D, N = _step_draws(cfg, rngs, member, m_u)
         feats = (Z, H, C) if include_c else (Z, H)
         act = np.tanh(np.einsum("laf,lf->la", Wa, np.concatenate(feats, axis=1)) + Ba)
         X = np.concatenate([Z, act], axis=1)
-        if step_masks:
-            masks_sampled += A
-            SX, SH = masks_from_uniforms(U[:, :m_u], *mask_args)
+        if sets:
+            masks_sampled += A * sets
+            SX, SH = masks_from_uniforms(U[:, :m_u].reshape(A * sets, per_set), *mask_args)
+        h_new, c_new, z_next, r_hat, _, ended = _dream_step(cfg, X, H, C, member, SX, SH, U[:, m_u:], E, D, N)
 
-        if mc_k:
-            masks_sampled += A * mc_k
-            sx, sh = masks_from_uniforms(U[:, :m_u].reshape(A * mc_k, per_set), *mask_args)
-            h_all, c_all = cell(
-                0, np.repeat(X, mc_k, axis=0), np.repeat(H, mc_k, axis=0), np.repeat(C, mc_k, axis=0), sx, sh
-            )
-            _, pi_a, mu_a, sg_a, r_a, u_a = heads_raw(model, h_all)
-            shape = (A, mc_k)
-            h_new = h_all.reshape(shape + (d,)).mean(axis=1)
-            c_new = c_all.reshape(shape + (d,)).mean(axis=1)
-            pi = pi_a.reshape(shape + pi_a.shape[1:]).mean(axis=1)
-            mu = mu_a.reshape(shape + mu_a.shape[1:]).mean(axis=1)
-            sigma = sg_a.reshape(shape + sg_a.shape[1:]).mean(axis=1)
-            r_hat = r_a.reshape(shape).mean(axis=1)
-            d_hat = sigmoid(u_a).reshape(shape).mean(axis=1)
-        elif n_models == 1:
-            h_new, c_new = cell(0, X, H, C, SX, SH)
-            _, pi, mu, sigma, r_hat, u = heads_raw(model, h_new)
-            d_hat = sigmoid(u)
-        else:
-            h_new, c_new = np.empty((A, d)), np.empty((A, d))
-            pi, mu, sigma = (np.empty((A, n, k)) for _ in range(3))
-            r_hat, u = np.empty(A), np.empty(A)
-            for m in range(n_models):
-                rows = np.flatnonzero(member == m)
-                if len(rows) == 0:
-                    continue
-                sx = None if SX is None else SX[rows]
-                sh = None if SH is None else SH[rows]
-                h_new[rows], c_new[rows] = cell(m, X[rows], H[rows], C[rows], sx, sh)
-                _, pi[rows], mu[rows], sigma[rows], r_hat[rows], u[rows] = heads_raw(cfg.ensemble[m], h_new[rows])
-            d_hat = sigmoid(u)
-
-        # Transition: component choice, Gaussian draw, done test.
-        comp = np.minimum((U[:, m_u:, None] >= np.cumsum(pi, axis=2)).sum(axis=2), k - 1)
-        pick = (np.arange(A)[:, None], features, comp)
-        z_next = mu[pick] + sigma[pick] * E
-        if noisy:
-            z_next = z_next + cfg.noise_sigma * N
         returns[lanes] += r_hat
         steps[lanes] += 1
-        ended = D < d_hat
         if t == cfg.max_ep_len - 1:
             truncated[lanes[~ended]] = True
             break
@@ -487,7 +429,7 @@ def rollout_batch(
             rngs = [rngs[j] for j in np.flatnonzero(keep)]
             Z, H, C, Wa, Ba = z_next[keep], h_new[keep], c_new[keep], Wa[keep], Ba[keep]
             member = member[keep]
-            if episode_masks:
+            if at_reset:
                 SX, SH = SX[keep], SH[keep]
         else:
             Z, H, C = z_next, h_new, c_new

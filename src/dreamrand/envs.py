@@ -14,9 +14,6 @@ tiles are crossed or the step cap is hit.
 """
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +35,7 @@ __all__ = [
     "DATASET_VERSION",
 ]
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 class EpisodeDoneError(RuntimeError):
@@ -330,10 +327,6 @@ class Trajectory:
     def n(self) -> int:
         return self.z.shape[1]
 
-    @property
-    def episode_return(self) -> float:
-        return float(self.r.sum())
-
     def tuples(self):
         """The (z, a, r, d) view, one tuple per executed step."""
         return [(self.z[t], self.a[t], float(self.r[t]), bool(self.d[t])) for t in range(self.steps)]
@@ -434,69 +427,42 @@ def collect_trajectories(env, policy, count, mix_expert_prob, rng, meta=None) ->
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """JSON header line, then per-trajectory fixed-width little-endian blocks:
-    uint64 step count, z block ((T+1)*n f8), a (T*A f8), r (T f8), d (T u1)."""
-    n = ds.n if ds.trajectories else 0
-    a_dim = ds.action_dim if ds.trajectories else 0
-    head = {
-        "container": "dataset",
-        "version": DATASET_VERSION,
-        "env": ds.env_name,
-        "env_params": ds.env_params,
-        "n": n,
-        "action_dim": a_dim,
-        "count": len(ds.trajectories),
-        "train_idx": [int(i) for i in ds.train_idx],
-        "test_idx": [int(i) for i in ds.test_idx],
-        "meta": ds.meta,
+    """One storage container: every trajectory's z, a, r and d blocks
+    concatenated along time, each trajectory's step count, and the splits."""
+    trajs = ds.trajectories
+    n, a_dim = (ds.n, ds.action_dim) if trajs else (0, 0)
+    arrays = {
+        "z": np.concatenate([np.empty((0, n))] + [t.z for t in trajs]),
+        "a": np.concatenate([np.empty((0, a_dim))] + [t.a for t in trajs]),
+        "r": np.concatenate([np.empty(0)] + [t.r for t in trajs]),
+        "d": np.concatenate([np.empty(0, dtype=bool)] + [t.d for t in trajs]),
+        "steps": np.array([t.steps for t in trajs], dtype=np.int64),
+        "train_idx": ds.train_idx,
+        "test_idx": ds.test_idx,
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write((json.dumps(head, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
-        for traj in ds.trajectories:
-            fh.write(struct.pack("<Q", traj.steps))
-            fh.write(np.ascontiguousarray(traj.z, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(traj.a, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(traj.r, dtype="<f8").tobytes())
-            fh.write(traj.d.astype("|u1").tobytes())
-    os.replace(tmp, path)
+    header = {"env": ds.env_name, "env_params": ds.env_params, "meta": ds.meta}
+    storage.write_container(path, "dataset", DATASET_VERSION, header, arrays)
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        head = storage.read_header_line(fh)
-        storage.check_kind_version(head, "dataset", DATASET_VERSION)
-        n = int(head["n"])
-        a_dim = int(head["action_dim"])
-        count = int(head["count"])
-        trajectories = []
-        for i in range(count):
-            raw = storage.read_exact(fh, 8, f"trajectory {i} length")
-            steps = struct.unpack("<Q", raw)[0]
-            if steps < 1 or steps > 10**9:
-                raise storage.CorruptFileError(f"implausible step count {steps} in trajectory {i}")
-            z = np.frombuffer(storage.read_exact(fh, (steps + 1) * n * 8, f"trajectory {i} states"), dtype="<f8")
-            a = np.frombuffer(storage.read_exact(fh, steps * a_dim * 8, f"trajectory {i} actions"), dtype="<f8")
-            r = np.frombuffer(storage.read_exact(fh, steps * 8, f"trajectory {i} rewards"), dtype="<f8")
-            d = np.frombuffer(storage.read_exact(fh, steps, f"trajectory {i} dones"), dtype="|u1")
-            try:
-                trajectories.append(
-                    Trajectory(
-                        z.reshape(steps + 1, n).copy(),
-                        a.reshape(steps, a_dim).copy(),
-                        r.copy(),
-                        d.astype(bool),
-                    )
-                )
-            except ValueError as exc:
-                raise storage.CorruptFileError(f"invalid trajectory {i}: {exc}") from exc
-        if fh.read(1):
-            raise storage.CorruptFileError("trailing bytes after final trajectory")
-    return Dataset(
-        trajectories,
-        np.array(head.get("train_idx", []), dtype=np.int64),
-        np.array(head.get("test_idx", []), dtype=np.int64),
-        head.get("env", "unknown"),
-        dict(head.get("env_params", {})),
-        dict(head.get("meta", {})),
-    )
+    header, arrays = storage.read_container(path, "dataset", DATASET_VERSION)
+    try:
+        z, a, r, d, steps = (arrays[name] for name in ("z", "a", "r", "d", "steps"))
+        if steps.dtype.kind != "i" or steps.ndim != 1 or (steps < 1).any():
+            raise storage.CorruptFileError("step counts must be a vector of positive integers")
+        total = int(steps.sum())
+        if len(z) != total + len(steps) or not len(a) == len(r) == len(d) == total:
+            raise storage.CorruptFileError("step counts disagree with the block lengths")
+        ends, z_ends = np.cumsum(steps)[:-1], np.cumsum(steps + 1)[:-1]
+        blocks = zip(np.split(z, z_ends), np.split(a, ends), np.split(r, ends), np.split(d, ends))
+        trajectories = [Trajectory(*parts) for parts in blocks] if len(steps) else []
+        return Dataset(
+            trajectories,
+            arrays["train_idx"],
+            arrays["test_idx"],
+            header.get("env", "unknown"),
+            dict(header.get("env_params", {})),
+            dict(header.get("meta", {})),
+        )
+    except (KeyError, ValueError) as exc:
+        raise storage.CorruptFileError(f"invalid dataset: {exc}") from exc

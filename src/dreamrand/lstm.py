@@ -1,11 +1,12 @@
 """Masked LSTM cell with per-gate dropout masks, forward unrolling, and
 gradient-checked backpropagation through time.
 
-Eight Boolean masks (four on the input, four on the hidden state, one pair
-per gate) multiply into the gate pre-activations. Kept units are rescaled by
-1/(1 - p) (inverted dropout) so the expected pre-activation matches the
-unmasked pass; entries at action input indices are pinned to 1 and never
-rescaled, since zeroing an action could read as the agent acting.
+Masks are float arrays: ``sx`` (..., 4, r) scales the input and ``sh``
+(..., 4, d) the previous hidden state, one row per gate, before each gate's
+product. Kept units carry 1/(1 - p) (inverted dropout), dropped units 0, and
+the action input entries exactly 1, since zeroing an action could read as the
+agent acting. At p = 0 no mask exists: every function takes ``None`` for the
+unmasked cell, and ``masks_from_uniforms`` returns ``(None, None)``.
 
 Gate order in weights and masks is (i, f, w, o): input gate, forget gate,
 cell write, output gate. Nonlinearities are applied when the cell and hidden
@@ -14,44 +15,39 @@ state are formed, not in the pre-activations:
     c_t = sigmoid(i) * tanh(w) + sigmoid(f) * c_{t-1}
     h_t = sigmoid(o) * tanh(c_t)
 
-``lstm_forward``/``lstm_backward`` keep only the recurrence in the Python
-time loop. The forward pass computes the masked input projection plus bias
-for all T*B rows in one batched matmul before the loop; each step adds one
-(4, B, d) @ (4, d, d) product of the masked previous hidden state, takes one
-sigmoid over the stacked o, i, f gates and forms c and h. The backward pass
-computes the step-independent gate factors for all steps before the loop,
-runs only dh, dc, the gate gradients and the recurrent product per step, and
-forms the weight and input gradients after the loop over the stacked gate
-gradients. Inside the unroll the gates are held in the order (o, i, f, w),
-so the three sigmoid gates sit side by side.
+``lstm_step`` is the one single-step cell, over a block of rows; the dream
+rollout and the real-environment evaluation call it. ``lstm_forward`` and
+``lstm_backward`` unroll the same update for training, keeping only the
+recurrence in the Python time loop, because the backward pass needs the
+intermediates of every step. The forward pass computes the masked input
+projection plus bias for all T*B rows in one batched matmul before the loop;
+each step adds one (4, B, d) @ (4, d, d) product of the masked previous
+hidden state, takes one sigmoid over the stacked o, i, f gates and forms c
+and h. The backward pass computes the step-independent gate factors for all
+steps before the loop, runs only dh, dc, the gate gradients and the
+recurrent product per step, and forms the weight and input gradients after
+the loop over the stacked gate gradients. Inside the unroll the gates are
+held in the order (o, i, f, w), so the three sigmoid gates sit side by side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import sigmoid
 
 __all__ = [
-    "GATE_NAMES",
-    "MaskSet",
     "LstmWeights",
-    "LstmState",
     "LstmGrads",
     "sample_mask_set",
-    "all_ones_mask_set",
-    "mask_scale_arrays",
     "mask_uniform_count",
     "masks_from_uniforms",
     "lstm_step",
     "lstm_forward",
     "lstm_backward",
-    "lstm_bptt",
 ]
 
-GATE_NAMES = ("i", "f", "w", "o")
 GATE_I, GATE_F, GATE_W, GATE_O = range(4)
 
 # Gate order inside lstm_forward/lstm_backward: _UNROLL[k] is the stored gate
@@ -60,169 +56,59 @@ _UNROLL = [GATE_O, GATE_I, GATE_F, GATE_W]
 _STORED = np.argsort(_UNROLL)
 
 
-@dataclass
-class MaskSet:
-    """The eight Boolean dropout masks for one masked LSTM configuration.
-
-    ``keep_x[g, j]`` is True when input unit j is kept for gate g (gate order
-    GATE_NAMES); ``keep_h`` likewise for hidden units. ``scaled_x`` and
-    ``scaled_h`` hold the float multipliers actually applied: kept units carry
-    1/(1-p), dropped units 0, action entries exactly 1.
-    """
-
-    keep_x: np.ndarray
-    keep_h: np.ndarray
-    p: float
-    action_dims: tuple[int, ...] = ()
-    scale_rate: float | None = None
-    scaled_x: np.ndarray = field(init=False, repr=False)
-    scaled_h: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.keep_x = np.asarray(self.keep_x, dtype=bool)
-        self.keep_h = np.asarray(self.keep_h, dtype=bool)
-        if self.keep_x.ndim != 2 or self.keep_x.shape[0] != 4:
-            raise ValueError("keep_x must have shape (4, input_dim)")
-        if self.keep_h.ndim != 2 or self.keep_h.shape[0] != 4:
-            raise ValueError("keep_h must have shape (4, hidden_dim)")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.p}")
-        self.action_dims = tuple(sorted(int(j) for j in self.action_dims))
-        r = self.keep_x.shape[1]
-        if any(j < 0 or j >= r for j in self.action_dims):
-            raise ValueError("action_dims out of input range")
-        if self.action_dims and not self.keep_x[:, list(self.action_dims)].all():
-            raise ValueError("action entries must be kept")
-        self.scaled_x, self.scaled_h = mask_scale_arrays(
-            self.keep_x, self.keep_h, self.p, self.action_dims, self.scale_rate
-        )
-
-    @property
-    def input_dim(self) -> int:
-        return self.keep_x.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.keep_h.shape[1]
-
-    # Per-gate views under the conventional mask names.
-    @property
-    def m_xi(self):
-        return self.keep_x[GATE_I]
-
-    @property
-    def m_xf(self):
-        return self.keep_x[GATE_F]
-
-    @property
-    def m_xw(self):
-        return self.keep_x[GATE_W]
-
-    @property
-    def m_xo(self):
-        return self.keep_x[GATE_O]
-
-    @property
-    def m_hi(self):
-        return self.keep_h[GATE_I]
-
-    @property
-    def m_hf(self):
-        return self.keep_h[GATE_F]
-
-    @property
-    def m_hw(self):
-        return self.keep_h[GATE_W]
-
-    @property
-    def m_ho(self):
-        return self.keep_h[GATE_O]
-
-    def bytes_key(self) -> bytes:
-        """Canonical byte encoding of the kept/dropped pattern (for hashing)."""
-        return np.packbits(self.keep_x).tobytes() + np.packbits(self.keep_h).tobytes()
-
-
-def mask_scale_arrays(keep_x, keep_h, p, action_dims=(), scale_rate=None):
-    """Float multipliers for a keep/drop pattern under inverted dropout.
-
-    ``scale_rate`` overrides the rate used for rescaling (the rescaling
-    convention switch); None means use p itself, a rate of 0 means no
-    rescaling of kept units.
-    """
-    rate = p if scale_rate is None else scale_rate
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rescale rate must be in [0, 1), got {rate}")
-    scale = 1.0 / (1.0 - rate)
-    scaled_x = keep_x.astype(np.float64) * scale
-    if action_dims:
-        scaled_x[..., list(action_dims)] = 1.0
-    scaled_h = keep_h.astype(np.float64) * scale
-    return scaled_x, scaled_h
-
-
 def mask_uniform_count(p, input_dim, hidden_dim) -> int:
-    """Uniform draws one MaskSet consumes: one per entry of the eight masks,
-    or none at p == 0."""
+    """Uniform draws one mask set consumes: one per entry of the eight
+    per-gate masks, or none at p == 0."""
     return 0 if p == 0.0 else 4 * (input_dim + hidden_dim)
 
 
-def _keep_from_uniforms(u, p, input_dim, hidden_dim, action_dims):
-    """Keep patterns from uniforms u (..., mask_uniform_count): the first
-    4*input_dim draws give keep_x (..., 4, input_dim), gate-major, the rest
-    keep_h (..., 4, hidden_dim). An entry is kept when its draw is >= p;
-    action entries are always kept."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim < 1 or u.shape[-1] != mask_uniform_count(p, input_dim, hidden_dim):
-        raise ValueError(f"uniforms must have {mask_uniform_count(p, input_dim, hidden_dim)} entries per mask set")
-    lead = u.shape[:-1]
-    if p == 0.0:
-        return np.ones(lead + (4, input_dim), dtype=bool), np.ones(lead + (4, hidden_dim), dtype=bool)
-    keep = u >= p
-    keep_x = keep[..., : 4 * input_dim].reshape(lead + (4, input_dim))
-    if action_dims:
-        keep_x[..., list(action_dims)] = True
-    keep_h = keep[..., 4 * input_dim :].reshape(lead + (4, hidden_dim))
-    return keep_x, keep_h
-
-
 def masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims=(), scale_rate=None):
-    """Scaled masks (..., 4, input_dim) and (..., 4, hidden_dim) from uniforms
-    u (..., mask_uniform_count), one mask set per leading index.
+    """Scaled masks from uniforms u (..., mask_uniform_count), one mask set
+    per leading index: sx (..., 4, input_dim) and sh (..., 4, hidden_dim).
 
-    This is the mask-draw rule of ``sample_mask_set``: feeding it the
-    uniforms of ``count`` sequential ``sample_mask_set`` calls, in order,
-    gives their ``scaled_x``/``scaled_h`` bit for bit.
-    """
-    keep_x, keep_h = _keep_from_uniforms(u, p, input_dim, hidden_dim, action_dims)
-    return mask_scale_arrays(keep_x, keep_h, p, action_dims, scale_rate)
-
-
-def sample_mask_set(p, input_dim, hidden_dim, action_dims=(), rng=None, scale_rate=None) -> MaskSet:
-    """Sample one MaskSet: every non-action entry of all eight masks is
-    dropped independently with probability p; action entries are always kept.
-
-    At p == 0 no random draws are consumed, so a p=0 run is stream-identical
-    to one that never samples masks.
+    The first 4*input_dim draws of a set give sx, gate-major, the rest sh.
+    An entry is kept when its draw is >= p and then carries 1/(1 - rate),
+    where the rate is ``scale_rate``, or p itself when that is None; a rate
+    of 0 leaves kept units at 1. Action entries are always 1. At p == 0 there
+    are no draws and no masks: the result is (None, None).
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    action_dims = tuple(sorted(int(j) for j in action_dims))
-    if any(j < 0 or j >= input_dim for j in action_dims):
+    rate = p if scale_rate is None else scale_rate
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"rescale rate must be in [0, 1), got {rate}")
+    action_dims = list(action_dims)
+    if action_dims and not 0 <= min(action_dims) <= max(action_dims) < input_dim:
         raise ValueError("action_dims out of input range")
-    if p > 0.0 and rng is None:
-        raise ValueError("rng required when p > 0")
     count = mask_uniform_count(p, input_dim, hidden_dim)
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim < 1 or u.shape[-1] != count:
+        raise ValueError(f"uniforms must have {count} entries per mask set")
+    if p == 0.0:
+        return None, None
+    lead = u.shape[:-1]
+    scale = 1.0 / (1.0 - rate)
+    keep = u >= p
+    sx = keep[..., : 4 * input_dim].reshape(lead + (4, input_dim)).astype(np.float64) * scale
+    if action_dims:
+        sx[..., action_dims] = 1.0
+    sh = keep[..., 4 * input_dim :].reshape(lead + (4, hidden_dim)).astype(np.float64) * scale
+    return sx, sh
+
+
+def sample_mask_set(p, input_dim, hidden_dim, action_dims=(), rng=None, scale_rate=None):
+    """One mask set (sx (4, input_dim), sh (4, hidden_dim)) from one
+    ``rng.random(mask_uniform_count)`` call: every non-action entry of the
+    eight masks is dropped independently with probability p.
+
+    At p == 0 it draws nothing and returns (None, None), so a p=0 run is
+    stream-identical to one that never samples masks.
+    """
+    count = mask_uniform_count(p, input_dim, hidden_dim)
+    if count and rng is None:
+        raise ValueError("rng required when p > 0")
     u = rng.random(count) if count else np.empty(0)
-    keep_x, keep_h = _keep_from_uniforms(u, p, input_dim, hidden_dim, action_dims)
-    return MaskSet(keep_x, keep_h, p, action_dims, scale_rate)
-
-
-def all_ones_mask_set(input_dim, hidden_dim) -> MaskSet:
-    """The identity mask (no dropout); consumes no randomness."""
-    return sample_mask_set(0.0, input_dim, hidden_dim)
+    return masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims, scale_rate)
 
 
 @dataclass
@@ -267,31 +153,25 @@ class LstmWeights:
         return LstmWeights(self.w_x.copy(), self.w_h.copy(), self.b.copy())
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
+def lstm_step(weights: LstmWeights, x, h, c, sx=None, sh=None):
+    """One masked LSTM update for a block of rows; returns (h, c).
 
-    @classmethod
-    def zeros(cls, hidden_dim) -> "LstmState":
-        return cls(np.zeros(hidden_dim), np.zeros(hidden_dim))
-
-
-def lstm_step(weights: LstmWeights, state: LstmState, x, mask: MaskSet) -> LstmState:
-    """One masked LSTM update. The rescaling rate is carried by the mask."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (weights.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({weights.input_dim},)")
-    if state.h.shape != (weights.hidden_dim,):
-        raise ValueError("state does not match weights")
-    if mask.input_dim != weights.input_dim or mask.hidden_dim != weights.hidden_dim:
-        raise ValueError("mask does not match weights")
-    xm = x[None, :] * mask.scaled_x
-    hm = state.h[None, :] * mask.scaled_h
-    pre = np.einsum("gdr,gr->gd", weights.w_x, xm) + np.einsum("gde,ge->gd", weights.w_h, hm) + weights.b
-    c = sigmoid(pre[GATE_I]) * np.tanh(pre[GATE_W]) + sigmoid(pre[GATE_F]) * state.c
-    h = sigmoid(pre[GATE_O]) * np.tanh(c)
-    return LstmState(h, c)
+    x: (rows, r); h, c: (rows, d); sx/sh: the rows' masks, (rows, 4, r) and
+    (rows, 4, d), or None for the unmasked cell. Each gate's pre-activation
+    is (x * sx[:, g]) @ w_x[g].T + (h * sh[:, g]) @ w_h[g].T, then + b[g].
+    """
+    if x.shape[1:] != (weights.input_dim,) or h.shape != (len(x), weights.hidden_dim) or c.shape != h.shape:
+        raise ValueError(f"rows x {x.shape}, h {h.shape}, c {c.shape} do not match the weights")
+    if sx is not None:
+        x = np.multiply(x[None], sx.transpose(1, 0, 2), order="C")  # (4, rows, r)
+        h = np.multiply(h[None], sh.transpose(1, 0, 2), order="C")
+    # matmul over the gate axis makes the per-gate products
+    # (rows, r) @ w_x[g].T and (rows, d) @ w_h[g].T, one BLAS call each.
+    pre = np.matmul(x, weights.w_x.transpose(0, 2, 1)) + np.matmul(h, weights.w_h.transpose(0, 2, 1))
+    pre += weights.b[:, None, :]
+    s_i, s_f, s_o = sigmoid(pre[[GATE_I, GATE_F, GATE_O]])
+    c = s_i * np.tanh(pre[GATE_W]) + s_f * c
+    return s_o * np.tanh(c), c
 
 
 @dataclass
@@ -393,9 +273,6 @@ class LstmGrads:
     h0: np.ndarray
     c0: np.ndarray
 
-    def weight_arrays(self) -> list[np.ndarray]:
-        return [self.w_x, self.w_h, self.b]
-
 
 def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs, d_h_final=None, d_c_final=None) -> LstmGrads:
     """Exact reverse-mode gradients of the unrolled masked LSTM.
@@ -448,22 +325,3 @@ def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs, d_h_final=None, 
     g_xs = d_xm.sum(axis=0)
     return LstmGrads(g_wx[_STORED], g_wh[_STORED], g_b[_STORED], g_xs, dh_next, dc_next)
 
-
-def lstm_bptt(weights: LstmWeights, inputs, masks: Sequence[MaskSet], upstream):
-    """Single-sequence BPTT: unrolls Eqs (1)-(6) over the inputs and returns
-    gradients for all weights, biases, and inputs.
-
-    ``masks`` gives the MaskSet per step (during dynamics training these must
-    all be the same object; dream-style evaluation may vary them per step).
-    ``upstream`` holds per-step gradients on h.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    T = inputs.shape[0]
-    if len(masks) != T or upstream.shape[0] != T:
-        raise ValueError("inputs, masks, and upstream gradients must have equal length")
-    sx = np.stack([m.scaled_x for m in masks])[:, None]  # (T, 1, 4, r)
-    sh = np.stack([m.scaled_h for m in masks])[:, None]
-    _, cache = lstm_forward(weights, inputs[:, None, :], sx, sh)
-    grads = lstm_backward(weights, cache, upstream[:, None, :])
-    return LstmGrads(grads.w_x, grads.w_h, grads.b, grads.xs[:, 0, :], grads.h0[0], grads.c0[0])

@@ -70,7 +70,7 @@ def write_container(path, kind: str, version: int, header: dict, arrays: dict[st
     os.replace(tmp, path)
 
 
-def read_header_line(fh: BinaryIO) -> dict:
+def _read_header_line(fh: BinaryIO) -> dict:
     line = fh.readline()
     if not line.endswith(b"\n"):
         raise CorruptFileError("missing or truncated header line")
@@ -83,14 +83,14 @@ def read_header_line(fh: BinaryIO) -> dict:
     return head
 
 
-def read_exact(fh: BinaryIO, nbytes: int, what: str) -> bytes:
+def _read_exact(fh: BinaryIO, nbytes: int, what: str) -> bytes:
     buf = fh.read(nbytes)
     if len(buf) != nbytes:
         raise CorruptFileError(f"truncated file while reading {what}")
     return buf
 
 
-def check_kind_version(head: dict, kind: str, version: int) -> None:
+def _check_kind_version(head: dict, kind: str, version: int) -> None:
     if head.get("container") != kind:
         raise VersionError(f"expected container {kind!r}, found {head.get('container')!r}")
     if head.get("version") != version:
@@ -100,8 +100,8 @@ def check_kind_version(head: dict, kind: str, version: int) -> None:
 def read_container(path, kind: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by :func:`write_container`."""
     with open(path, "rb") as fh:
-        head = read_header_line(fh)
-        check_kind_version(head, kind, version)
+        head = _read_header_line(fh)
+        _check_kind_version(head, kind, version)
         manifest = head.get("arrays")
         if not isinstance(manifest, list):
             raise CorruptFileError("header lacks array manifest")
@@ -117,7 +117,7 @@ def read_container(path, kind: str, version: int) -> tuple[dict, dict[str, np.nd
             expected = int(np.prod(shape, dtype=int)) * dtype.itemsize
             if expected != nbytes:
                 raise CorruptFileError(f"manifest size mismatch for array {name!r}")
-            buf = read_exact(fh, nbytes, f"array {name!r}")
+            buf = _read_exact(fh, nbytes, f"array {name!r}")
             arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise CorruptFileError("trailing bytes after final array block")

@@ -184,18 +184,17 @@ def _eval_split_loss(params, blocks, alpha_r, alpha_d):
     return metrics["loss"]
 
 
-def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
+def train_dynamics(dataset, cfg: TrainConfig):
     """Train the dynamics model; returns (WorldModelParams, LossReport).
 
     Each sequence of a mini-batch carries its own masks at p_train, held
     fixed over its steps. A batch of b sequences draws its masks with one
     ``mask_rng.random((b, count))`` call fed to ``masks_from_uniforms``,
-    which gives the masks of b sequential ``sample_mask_set`` calls.
+    which gives the masks of b sequential ``sample_mask_set`` calls; at
+    p_train = 0 it draws nothing and the batches run unmasked.
 
     Deterministic given (dataset, cfg): identical seeds give bit-identical
-    parameters and reports. ``masked_path=False`` is an equivalence hook that
-    skips mask sampling entirely (valid only at p_train=0); the default
-    all-ones masked path must match it bit for bit.
+    parameters and reports.
     """
     train_trajs = dataset.train_trajectories()
     if not train_trajs:
@@ -204,8 +203,6 @@ def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
     if train_blocks is None:
         raise ValueError(f"no trajectory is at least {cfg.seq_len} steps long")
     test_blocks = make_windows(dataset.test_trajectories(), cfg.seq_len)
-    if not masked_path and cfg.p_train != 0.0:
-        raise ValueError("masked_path=False requires p_train=0")
 
     n, action_dim = dataset.n, dataset.action_dim
     init_rng = rng_stream(cfg.seed, "train", "init")
@@ -242,9 +239,7 @@ def train_dynamics(dataset, cfg: TrainConfig, masked_path: bool = True):
         for start in range(0, n_windows, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             b = len(idx)
-            masks = None
-            if masked_path:
-                masks = masks_from_uniforms(mask_rng.random((b, mask_count)), *mask_args, params.action_input_dims)
+            masks = masks_from_uniforms(mask_rng.random((b, mask_count)), *mask_args, params.action_input_dims)
             metrics, grads = _batch_loss_and_grads(
                 params, xb_all[idx], zb_all[idx], rb_all[idx], db_all[idx], masks,
                 cfg.alpha_r, cfg.alpha_d,
@@ -287,7 +282,7 @@ def evaluate_loss(
     alpha_d: float | None = None,
     scale_rate: float | None = None,
 ) -> EvalLossResult:
-    """Joint loss under inference-time dropout: a fresh MaskSet per step per
+    """Joint loss under inference-time dropout: a fresh mask set per step per
     sequence at rate p_infer, averaged over sequences and over
     ``n_mask_samples`` independent mask draws.
 
@@ -326,7 +321,7 @@ def evaluate_loss(
         if p_infer == 0.0:
             sx = sh = None
         else:
-            # One MaskSet per (window, step), drawn window-major.
+            # One mask set per (window, step), drawn window-major.
             u_shape = (W, T, mask_uniform_count(p_infer, r_dim, d))
             sx, sh = masks_from_uniforms(rng.random(u_shape), p_infer, r_dim, d, params.action_input_dims, scale_rate)
             sx, sh = sx.transpose(1, 0, 2, 3), sh.transpose(1, 0, 2, 3)

@@ -1,7 +1,7 @@
 """Reference for ``dreamrand.dream.rollout_batch``: the per-lane loop it
 replaced, kept as the stream-exact oracle.
 
-Every lane-step draws its MaskSet with ``sample_mask_set`` and its
+Every lane-step draws its mask set with ``sample_mask_set`` and its
 transition with ``sample_transition_raw``, one lane at a time, while the
 masked cell and the heads run on the same row groups as the vectorised
 rollout. The vectorised rollout must reproduce its returns, steps,
@@ -41,12 +41,12 @@ def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts=N
 
     def sample_lane_mask(lane, rng):
         nonlocal masks_sampled
+        if cfg.p_infer == 0.0:  # no mask is drawn at p = 0; the lane runs unmasked
+            return
         masks_sampled += 1
-        m = sample_mask_set(
+        SX[lane], SH[lane] = sample_mask_set(
             cfg.p_infer, r, d, action_dims=model.action_input_dims, rng=rng, scale_rate=scale_rate
         )
-        SX[lane] = m.scaled_x
-        SH[lane] = m.scaled_h
 
     for lane, rng in enumerate(lane_rngs):
         if cfg.z_init == ZInit.STANDARD_NORMAL:
@@ -103,14 +103,12 @@ def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts=N
                 for j, lane in enumerate(active):
                     for kk in range(K):
                         masks_sampled += 1
-                        m = sample_mask_set(
+                        sx_mc[j, kk], sh_mc[j, kk] = sample_mask_set(
                             cfg.p_infer, r, d,
                             action_dims=model.action_input_dims,
                             rng=lane_rngs[lane],
                             scale_rate=scale_rate,
                         )
-                        sx_mc[j, kk] = m.scaled_x
-                        sh_mc[j, kk] = m.scaled_h
                 Xr = np.repeat(X, K, axis=0)
                 Hr = np.repeat(H[active], K, axis=0)
                 Cr = np.repeat(C[active], K, axis=0)

@@ -203,18 +203,12 @@ class TestMcStep:
         assert np.array_equal(z1, z2)
         for _ in range(5):
             o1 = env_plain.step(a, rng1)
-            o2 = env_mc.mc_step(a, rng2)
+            o2 = env_mc.step(a, rng2)
             assert np.array_equal(o1[0], o2[0])
             assert o1[1] == o2[1] and o1[2] == o2[2]
             assert np.array_equal(o1[3], o2[3])
             if o1[2]:
                 break
-
-    def test_mc_step_requires_mc_config(self):
-        env = DreamEnv(cfg_for(make_model(22)))
-        env.reset(rng_stream(23, "mc-req"))
-        with pytest.raises(ValueError):
-            env.mc_step(np.zeros(2), rng_stream(23, "mc-req2"))
 
     def test_dhat_variance_shrinks_with_samples(self):
         model = make_model(24, done_logit=0.0)
@@ -381,6 +375,35 @@ class TestBatchedRollout:
         assert ep_out["masks_sampled"] == L
         off_out = rollout_batch(cfg_for(model, p_infer=0.0, policy="off", max_ep_len=9), W, b, lanes())
         assert off_out["masks_sampled"] == 0
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"policy": "step"},
+            {"policy": "episode"},
+            {"policy": "step", "members": 2},
+            {"policy": "episode", "members": 2},
+            {"policy": "step", "mc_samples": 3},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_no_masks_counted_at_p_zero(self, kw):
+        # At p_infer = 0 no mask is drawn, so none is counted, in the batch
+        # and in the one-lane view alike.
+        kw = dict(kw)
+        model = make_model(55, done_logit=-50.0)
+        if kw.pop("members", 1) > 1:
+            kw["ensemble"] = [model, make_model(56, done_logit=-50.0)]
+        cfg = cfg_for(model, p_infer=0.0, max_ep_len=9, **kw)
+        L = 4
+        W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
+        out = rollout_batch(cfg, W, b, [rng_stream(57, "p0", i) for i in range(L)])
+        assert int(out["steps"].sum()) == L * 9
+        assert out["masks_sampled"] == 0
+        env = DreamEnv(cfg)
+        run_episode(env, rng_stream(57, "p0-env"))
+        assert env.state.t == 9
+        assert env.masks_sampled == 0
 
     def test_include_c_changes_features(self):
         model = make_model(57, done_logit=-50.0)

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from dreamrand import storage
 from dreamrand.envs import (
+    DATASET_VERSION,
     Dataset,
     DodgeWorld,
     EpisodeDoneError,
@@ -198,8 +201,32 @@ class TestDatasetIO:
         path = tmp_path / "data.dataset"
         save_dataset(ds, path)
         head, rest = path.read_bytes().split(b"\n", 1)
-        path.write_bytes(head.replace(b'"version":1', b'"version":7') + b"\n" + rest)
+        path.write_bytes(head.replace(b'"version":2', b'"version":7') + b"\n" + rest)
         with pytest.raises(storage.VersionError):
+            load_dataset(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # A file in the retired per-trajectory format (version 1): JSON header
+        # line, then a uint64 step count and the z, a, r, d bytes per trajectory.
+        traj = self._dataset(count=1).trajectories[0]
+        head = {"container": "dataset", "version": 1, "env": "dodge", "n": traj.n, "action_dim": 1, "count": 1}
+        path = tmp_path / "v1.dataset"
+        path.write_bytes(
+            json.dumps(head).encode() + b"\n" + np.int64(traj.steps).tobytes()
+            + traj.z.tobytes() + traj.a.tobytes() + traj.r.tobytes() + traj.d.astype(np.uint8).tobytes()
+        )
+        with pytest.raises(storage.VersionError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_step_counts_disagreeing_with_blocks_rejected(self, tmp_path, change):
+        ds = self._dataset()
+        path = tmp_path / "data.dataset"
+        save_dataset(ds, path)
+        header, arrays = storage.read_container(path, "dataset", DATASET_VERSION)
+        arrays["steps"][-1] += change
+        storage.write_container(path, "dataset", DATASET_VERSION, header, arrays)
+        with pytest.raises(storage.CorruptFileError, match="step counts"):
             load_dataset(path)
 
     def test_empty_dataset_roundtrips(self, tmp_path):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from dreamrand.lstm import (
-    LstmState,
+    GATE_I,
     LstmWeights,
-    all_ones_mask_set,
     lstm_backward,
-    lstm_bptt,
     lstm_forward,
     lstm_step,
     mask_uniform_count,
@@ -22,21 +20,22 @@ def _sigmoid(x):
 
 def reference_lstm_sequence(weights, xs, masks):
     """Straight-line scalar-loop re-implementation of the masked update,
-    independent of the vectorized production code."""
+    independent of the vectorized production code. ``masks[t]`` is the
+    step's (sx, sh) pair."""
     d, r = weights.hidden_dim, weights.input_dim
     h = [0.0] * d
     c = [0.0] * d
     out = []
     for t, x in enumerate(xs):
-        m = masks[t]
+        sx, sh = masks[t]
         pre = np.zeros((4, d))
         for g in range(4):
             for i in range(d):
                 acc = weights.b[g][i]
                 for j in range(r):
-                    acc += weights.w_x[g][i][j] * (x[j] * m.scaled_x[g][j])
+                    acc += weights.w_x[g][i][j] * (x[j] * sx[g][j])
                 for j in range(d):
-                    acc += weights.w_h[g][i][j] * (h[j] * m.scaled_h[g][j])
+                    acc += weights.w_h[g][i][j] * (h[j] * sh[g][j])
                 pre[g][i] = acc
         new_c = [
             _sigmoid(pre[0][i]) * np.tanh(pre[2][i]) + _sigmoid(pre[1][i]) * c[i]
@@ -49,10 +48,8 @@ def reference_lstm_sequence(weights, xs, masks):
 
 
 class TestMaskSampling:
-    def test_p_zero_all_ones(self):
-        m = sample_mask_set(0.0, 6, 9)
-        assert m.keep_x.all() and m.keep_h.all()
-        assert np.all(m.scaled_x == 1.0) and np.all(m.scaled_h == 1.0)
+    def test_p_zero_gives_no_masks(self):
+        assert sample_mask_set(0.0, 6, 9) == (None, None)
 
     def test_p_zero_consumes_no_draws(self):
         rng_a = rng_stream(3, "mask")
@@ -64,16 +61,15 @@ class TestMaskSampling:
         rng = rng_stream(11, "mask-action")
         r = 5
         for _ in range(200):
-            m = sample_mask_set(0.9, r, 4, action_dims={r - 1}, rng=rng)
-            assert m.keep_x[:, r - 1].all()
-            assert np.all(m.scaled_x[:, r - 1] == 1.0)
+            sx, _ = sample_mask_set(0.9, r, 4, action_dims={r - 1}, rng=rng)
+            assert np.all(sx[:, r - 1] == 1.0)
 
     def test_drop_fraction_near_p(self):
         rng = rng_stream(12, "mask-frac")
         fracs = []
         for _ in range(100):
-            m = sample_mask_set(0.5, 4, 1000, rng=rng)
-            fracs.append(1.0 - m.m_hi.mean())
+            _, sh = sample_mask_set(0.5, 4, 1000, rng=rng)
+            fracs.append(float(np.mean(sh[GATE_I] == 0.0)))
         assert 0.47 <= float(np.mean(fracs)) <= 0.53
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
@@ -87,20 +83,23 @@ class TestMaskSampling:
 
     def test_inverted_scaling(self):
         rng = rng_stream(13, "mask-scale")
-        m = sample_mask_set(0.2, 8, 8, action_dims=(6, 7), rng=rng)
-        kept = m.keep_x[:, :6]
-        np.testing.assert_allclose(m.scaled_x[:, :6][kept], 1.0 / 0.8)
-        assert np.all(m.scaled_x[:, :6][~kept] == 0.0)
+        sx, _ = sample_mask_set(0.2, 8, 8, action_dims=(6, 7), rng=rng)
+        kept = sx[:, :6] != 0.0
+        assert kept.any() and not kept.all()
+        np.testing.assert_allclose(sx[:, :6][kept], 1.0 / 0.8)
 
     def test_scale_rate_override(self):
         rng = rng_stream(14, "mask-rate")
-        m = sample_mask_set(0.5, 6, 6, rng=rng, scale_rate=0.0)
-        assert set(np.unique(m.scaled_h)) <= {0.0, 1.0}
+        _, sh = sample_mask_set(0.5, 6, 6, rng=rng, scale_rate=0.0)
+        assert set(np.unique(sh)) <= {0.0, 1.0}
 
     def test_batch_masks_distinct(self):
         # Mask collision between sequences in a batch is vanishingly rare.
         rng = rng_stream(15, "mask-distinct")
-        keys = {sample_mask_set(0.05, 8, 32, rng=rng).bytes_key() for _ in range(64)}
+        keys = set()
+        for _ in range(64):
+            sx, sh = sample_mask_set(0.05, 8, 32, rng=rng)
+            keys.add(sx.tobytes() + sh.tobytes())
         assert len(keys) == 64
 
 
@@ -115,9 +114,13 @@ class TestMasksFromUniforms:
         masks = [sample_mask_set(p, r, d, action_dims=action_dims, rng=rng_seq, scale_rate=scale_rate) for _ in range(count)]
         u = rng_block.random((count, mask_uniform_count(p, r, d)))
         sx, sh = masks_from_uniforms(u, p, r, d, action_dims, scale_rate)
-        assert sx.shape == (count, 4, r) and sh.shape == (count, 4, d)
-        assert np.array_equal(sx, np.stack([m.scaled_x for m in masks]))
-        assert np.array_equal(sh, np.stack([m.scaled_h for m in masks]))
+        if p == 0.0:
+            assert sx is None and sh is None
+            assert all(m == (None, None) for m in masks)
+        else:
+            assert sx.shape == (count, 4, r) and sh.shape == (count, 4, d)
+            assert np.array_equal(sx, np.stack([m[0] for m in masks]))
+            assert np.array_equal(sh, np.stack([m[1] for m in masks]))
         assert rng_seq.random() == rng_block.random()  # both generators end in the same state
 
     def test_p_zero_consumes_no_draws(self):
@@ -135,21 +138,33 @@ class TestMasksFromUniforms:
         with pytest.raises(ValueError):
             masks_from_uniforms(u[..., :-1], 0.2, 4, 5)
 
+    @pytest.mark.parametrize("action_dims", [(4,), (-1,)])
+    def test_action_dims_out_of_range_rejected(self, action_dims):
+        u = rng_stream(63, "helper-action").random((2, mask_uniform_count(0.2, 4, 5)))
+        with pytest.raises(ValueError, match="action_dims"):
+            masks_from_uniforms(u, 0.2, 4, 5, action_dims)
+
+
+def _ones_masks(rows, r, d):
+    return np.ones((rows, 4, r)), np.ones((rows, 4, d))
+
 
 class TestLstmStep:
     def test_zero_weights_zero_output(self):
         w = LstmWeights(np.zeros((4, 3, 2)), np.zeros((4, 3, 3)), np.zeros((4, 3)))
-        s = lstm_step(w, LstmState.zeros(3), np.array([1.0, -2.0]), all_ones_mask_set(2, 3))
-        assert np.all(s.h == 0.0) and np.all(s.c == 0.0)
+        h, c = lstm_step(w, np.array([[1.0, -2.0]]), np.zeros((1, 3)), np.zeros((1, 3)))
+        assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_identity_mask_matches_unmasked(self):
         rng = rng_stream(21, "step")
         w = LstmWeights.init(5, 4, rng)
-        x = rng.normal(size=4)
-        state = LstmState(rng.normal(size=5) * 0.1, rng.normal(size=5) * 0.1)
-        stepped = lstm_step(w, state, x, all_ones_mask_set(4, 5))
-        hs, _ = lstm_forward(w, x[None, None, :], h0=state.h[None], c0=state.c[None])
-        np.testing.assert_allclose(stepped.h, hs[0, 0], atol=1e-12)
+        x = rng.normal(size=(3, 4))
+        h0, c0 = rng.normal(size=(3, 5)) * 0.1, rng.normal(size=(3, 5)) * 0.1
+        h, c = lstm_step(w, x, h0, c0)
+        h1, c1 = lstm_step(w, x, h0, c0, *_ones_masks(3, 4, 5))
+        assert np.array_equal(h, h1) and np.array_equal(c, c1)
+        hs, _ = lstm_forward(w, x[None], h0=h0, c0=c0)
+        np.testing.assert_allclose(h, hs[0], atol=1e-12)
 
     def test_matches_straight_line_reference(self):
         rng = rng_stream(22, "step-ref")
@@ -157,28 +172,35 @@ class TestLstmStep:
         masks = [sample_mask_set(0.5, 3, 4, rng=rng) for _ in range(6)]
         xs = rng.normal(size=(6, 3))
         ref = reference_lstm_sequence(w, xs, masks)
-        state = LstmState.zeros(4)
+        h, c = np.zeros((1, 4)), np.zeros((1, 4))
         for t in range(6):
-            state = lstm_step(w, state, xs[t], masks[t])
-            np.testing.assert_allclose(state.h, ref[t][0], atol=1e-12)
-            np.testing.assert_allclose(state.c, ref[t][1], atol=1e-12)
+            sx, sh = masks[t]
+            h, c = lstm_step(w, xs[t][None], h, c, sx[None], sh[None])
+            np.testing.assert_allclose(h[0], ref[t][0], atol=1e-12)
+            np.testing.assert_allclose(c[0], ref[t][1], atol=1e-12)
 
     def test_deterministic(self):
         rng = rng_stream(23, "step-det")
         w = LstmWeights.init(4, 3, rng)
-        m = sample_mask_set(0.3, 3, 4, rng=rng)
-        x = rng.normal(size=3)
-        a = lstm_step(w, LstmState.zeros(4), x, m)
-        b = lstm_step(w, LstmState.zeros(4), x, m)
-        assert np.array_equal(a.h, b.h) and np.array_equal(a.c, b.c)
+        sx, sh = sample_mask_set(0.3, 3, 4, rng=rng)
+        x = rng.normal(size=(1, 3))
+        zeros = np.zeros((1, 4))
+        a = lstm_step(w, x, zeros, zeros, sx[None], sh[None])
+        b = lstm_step(w, x, zeros, zeros, sx[None], sh[None])
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_dimension_mismatch_rejected(self):
         rng = rng_stream(24, "step-dim")
         w = LstmWeights.init(4, 3, rng)
+        zeros = np.zeros((2, 4))
         with pytest.raises(ValueError):
-            lstm_step(w, LstmState.zeros(4), np.zeros(5), all_ones_mask_set(5, 4))
+            lstm_step(w, np.zeros((2, 5)), zeros, zeros)
         with pytest.raises(ValueError):
-            lstm_step(w, LstmState.zeros(4), np.zeros(3), all_ones_mask_set(3, 5))
+            lstm_step(w, np.zeros((2, 3)), np.zeros((2, 5)), zeros)
+        with pytest.raises(ValueError):
+            lstm_step(w, np.zeros((2, 3)), zeros, np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            lstm_step(w, np.zeros(3), np.zeros(4), np.zeros(4))
 
     def test_expectation_preserved_at_preactivation(self):
         # Mean masked-and-rescaled pre-activation over many masks matches the
@@ -194,9 +216,18 @@ class TestLstmStep:
         acc = np.zeros(d)
         draws = 20_000
         for _ in range(draws):
-            m = sample_mask_set(0.3, r, d, rng=rng)
-            acc += w_xi @ (x * m.scaled_x[0]) + w_hi @ (h * m.scaled_h[0])
+            sx, sh = sample_mask_set(0.3, r, d, rng=rng)
+            acc += w_xi @ (x * sx[0]) + w_hi @ (h * sh[0])
         np.testing.assert_allclose(acc / draws, target, rtol=0.02)
+
+
+def _bptt(w, xs, sx, sh, upstream):
+    """Gradients of sum(h_t * upstream_t) for one sequence (B = 1) with one
+    mask set held over all steps."""
+    if sx is not None:
+        sx, sh = sx[None], sh[None]
+    _, cache = lstm_forward(w, xs[:, None, :], sx, sh)
+    return lstm_backward(w, cache, upstream[:, None, :])
 
 
 class TestBptt:
@@ -204,74 +235,75 @@ class TestBptt:
         rng = rng_stream(seed, "bptt")
         w = LstmWeights.init(d, r, rng)
         xs = rng.normal(size=(T, r))
-        if p == 0.0:
-            masks = [all_ones_mask_set(r, d)] * T
-        else:
-            mask = sample_mask_set(p, r, d, action_dims=(r - 1,), rng=rng)
-            masks = [mask] * T
+        sx, sh = sample_mask_set(p, r, d, action_dims=(r - 1,), rng=rng)
         upstream = rng.normal(size=(T, d))
-        return w, xs, masks, upstream
+        return w, xs, sx, sh, upstream
 
     def test_zero_upstream_zero_grads(self):
-        w, xs, masks, _ = self._loss_pieces(31, 0.3)
-        g = lstm_bptt(w, xs, masks, np.zeros((5, w.hidden_dim)))
+        w, xs, sx, sh, _ = self._loss_pieces(31, 0.3)
+        g = _bptt(w, xs, sx, sh, np.zeros((5, w.hidden_dim)))
         for a in (g.w_x, g.w_h, g.b, g.xs, g.h0, g.c0):
             assert np.all(a == 0.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_matches_finite_differences(self, p):
-        w, xs, masks, upstream = self._loss_pieces(32, p)
+        w, xs, sx, sh, upstream = self._loss_pieces(32, p)
         templates = [w.w_x, w.w_h, w.b]
 
         def loss_of(vec):
-            wx, wh, b = unpack_arrays(vec, templates)
-            w2 = LstmWeights(wx, wh, b)
-            sx = np.stack([m.scaled_x for m in masks])[:, None]
-            sh = np.stack([m.scaled_h for m in masks])[:, None]
-            hs, _ = lstm_forward(w2, xs[:, None, :], sx, sh)
+            w2 = LstmWeights(*unpack_arrays(vec, templates))
+            hs, _ = lstm_forward(w2, xs[:, None, :], None if sx is None else sx[None], None if sh is None else sh[None])
             return float(np.sum(hs[:, 0, :] * upstream))
 
         numeric = unpack_arrays(finite_diff_grad(loss_of, pack_arrays(templates)), templates)
-        g = lstm_bptt(w, xs, masks, upstream)
+        g = _bptt(w, xs, sx, sh, upstream)
         for got, want in zip([g.w_x, g.w_h, g.b], numeric):
             err = np.abs(got - want)
             tol = 1e-4 * np.maximum(np.abs(want), np.abs(got)) + 1e-8
             assert np.all(err <= tol)
 
     def test_input_gradient_matches_finite_differences(self):
-        w, xs, masks, upstream = self._loss_pieces(33, 0.5)
+        w, xs, sx, sh, upstream = self._loss_pieces(33, 0.5)
 
         def loss_of(flat_xs):
-            xs2 = flat_xs.reshape(xs.shape)
-            sx = np.stack([m.scaled_x for m in masks])[:, None]
-            sh = np.stack([m.scaled_h for m in masks])[:, None]
-            hs, _ = lstm_forward(w, xs2[:, None, :], sx, sh)
+            hs, _ = lstm_forward(w, flat_xs.reshape(xs.shape)[:, None, :], sx[None], sh[None])
             return float(np.sum(hs[:, 0, :] * upstream))
 
         numeric = finite_diff_grad(loss_of, xs.ravel()).reshape(xs.shape)
-        g = lstm_bptt(w, xs, masks, upstream)
-        np.testing.assert_allclose(g.xs, numeric, atol=1e-7, rtol=1e-4)
+        g = _bptt(w, xs, sx, sh, upstream)
+        np.testing.assert_allclose(g.xs[:, 0, :], numeric, atol=1e-7, rtol=1e-4)
 
     def test_dropped_input_column_gets_zero_grad(self):
-        from dreamrand.lstm import MaskSet
-
         rng = rng_stream(34, "bptt-drop")
         d, r, T = 6, 5, 4
         w = LstmWeights.init(d, r, rng)
         j = 2
-        keep_x = np.ones((4, r), dtype=bool)
-        keep_x[:, j] = False
-        mask = MaskSet(keep_x, np.ones((4, d), dtype=bool), 0.4)
+        sx, sh = np.full((4, r), 1.0 / 0.6), np.full((4, d), 1.0 / 0.6)
+        sx[:, j] = 0.0
         xs = rng.normal(size=(T, r))
         upstream = rng.normal(size=(T, d))
-        g = lstm_bptt(w, xs, [mask] * T, upstream)
+        g = _bptt(w, xs, sx, sh, upstream)
         assert np.all(g.w_x[:, :, j] == 0.0)
         assert np.any(g.w_x[:, :, j - 1] != 0.0)
 
-    def test_length_mismatch_rejected(self):
-        w, xs, masks, upstream = self._loss_pieces(35, 0.0)
-        with pytest.raises(ValueError):
-            lstm_bptt(w, xs, masks[:-1], upstream)
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_all_ones_masks_match_no_masks_bit_for_bit(self, per_step):
+        # An all-ones mask block and None (the unmasked cell) give identical
+        # forward and backward passes, so a p=0 training run that passes no
+        # masks equals one that multiplies by ones.
+        T, B, d, r = 6, 3, 5, 4
+        rng = rng_stream(36, "ones-vs-none")
+        w = LstmWeights.init(d, r, rng)
+        xs = rng.normal(size=(T, B, r))
+        upstream = rng.normal(size=(T, B, d))
+        lead = (T, B) if per_step else (B,)
+        hs_none, cache_none = lstm_forward(w, xs)
+        hs_ones, cache_ones = lstm_forward(w, xs, np.ones(lead + (4, r)), np.ones(lead + (4, d)))
+        assert np.array_equal(hs_none, hs_ones)
+        g_none = lstm_backward(w, cache_none, upstream)
+        g_ones = lstm_backward(w, cache_ones, upstream)
+        for name in ("w_x", "w_h", "b", "xs", "h0", "c0"):
+            assert np.array_equal(getattr(g_none, name), getattr(g_ones, name)), name
 
 
 def _gradcheck_ok(got, want):
@@ -333,17 +365,14 @@ class TestBatchedPasses:
         rng = rng_stream(81, "batched-step")
         w = LstmWeights.init(d, r, rng)
         xs = rng.normal(size=(T, B, r))
-        masks = [[sample_mask_set(0.3, r, d, action_dims=(r - 1,), rng=rng) for _ in range(B)] for _ in range(T)]
-        sx = np.array([[m.scaled_x for m in row] for row in masks])
-        sh = np.array([[m.scaled_h for m in row] for row in masks])
+        sx, sh = masks_from_uniforms(rng.random((T, B, mask_uniform_count(0.3, r, d))), 0.3, r, d, (r - 1,))
         h0, c0 = rng.normal(size=(B, d)) * 0.5, rng.normal(size=(B, d)) * 0.5
         hs, cache = lstm_forward(w, xs, sx, sh, h0, c0)
-        for b in range(B):
-            state = LstmState(h0[b], c0[b])
-            for t in range(T):
-                state = lstm_step(w, state, xs[t, b], masks[t][b])
-                np.testing.assert_allclose(hs[t, b], state.h, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(cache.cs[t + 1, b], state.c, rtol=0, atol=1e-12)
+        h, c = h0, c0
+        for t in range(T):
+            h, c = lstm_step(w, xs[t], h, c, sx[t], sh[t])
+            np.testing.assert_allclose(hs[t], h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache.cs[t + 1], c, rtol=0, atol=1e-12)
 
     def test_mask_shape_mismatch_rejected(self):
         w, xs, sx, sh, *_ = self._case(82, "step", False)

@@ -43,6 +43,25 @@ class TestLogSumExp:
         for i in range(5):
             assert rows[i] == pytest.approx(log_sum_exp(m[i]), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2])
+    def test_axis_equals_max_shift_form_bit_for_bit(self, k, axis):
+        # The reference is the max-shift form over v.max(axis); the running
+        # maximum must give the same values, infinities and nans included.
+        rng = rng_stream(9, "lse-bits", k)
+        shape = [7, 5, 6]
+        shape[axis] = k
+        v = rng.normal(size=shape) * rng.choice([0.1, 10.0, 1000.0], size=shape)
+        flat = v.reshape(-1)
+        picks = rng.choice(flat.size, size=min(flat.size, 40), replace=False)
+        flat[picks] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0], size=picks.size)
+        with np.errstate(invalid="ignore"):
+            m = v.max(axis=axis, keepdims=True)
+            want = (np.log(np.exp(v - m).sum(axis=axis, keepdims=True)) + m).squeeze(axis=axis)
+            got = log_sum_exp(v, axis=axis)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bits, so signed zeros and nans count
+
 
 class TestGaussianLogpdf:
     def test_standard_normal_at_mean(self):

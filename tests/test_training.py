@@ -44,23 +44,6 @@ class TestTrainDynamics:
         for (_, a), (_, b) in zip(p1.param_items(), p2.param_items()):
             assert np.array_equal(a, b)
 
-    def test_p_zero_matches_maskfree_reference(self):
-        # All-ones masked arithmetic must be bit-identical to a run that
-        # never touches masks at all.
-        ds = tiny_dataset()
-        cfg = TrainConfig(hidden_size=8, epochs=2, seq_len=16, batch_size=4, seed=8, p_train=0.0)
-        p_masked, r_masked = train_dynamics(ds, cfg, masked_path=True)
-        p_plain, r_plain = train_dynamics(ds, cfg, masked_path=False)
-        assert np.array_equal(r_masked.train_loss, r_plain.train_loss)
-        for (_, a), (_, b) in zip(p_masked.param_items(), p_plain.param_items()):
-            assert np.array_equal(a, b)
-
-    def test_maskfree_reference_requires_p_zero(self):
-        ds = tiny_dataset()
-        cfg = TrainConfig(hidden_size=8, epochs=1, seq_len=16, p_train=0.1)
-        with pytest.raises(ValueError):
-            train_dynamics(ds, cfg, masked_path=False)
-
     def test_mask_constant_within_sequences(self, monkeypatch):
         # Every training forward pass gets one mask per sequence, held over
         # all its steps; the sequences of a batch carry distinct masks, and

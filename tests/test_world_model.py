@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dreamrand import storage
-from dreamrand.lstm import LstmWeights, all_ones_mask_set, lstm_backward, lstm_forward, sample_mask_set
+from dreamrand.lstm import LstmWeights, lstm_backward, lstm_forward, mask_uniform_count, masks_from_uniforms
 from dreamrand.numerics import finite_diff_grad, pack_arrays, rng_stream, unpack_arrays
 from dreamrand.world_model import (
     MdnOutput,
@@ -217,15 +217,8 @@ def full_loss_gradcheck_instance(seed, p_train, n=4, k=3, d=8, action_dim=2, T=5
     z_t = rng.normal(size=(T, B, n))
     r_t = rng.normal(size=(T, B))
     d_t = (rng.random((T, B)) < 0.3).astype(float)
-    if p_train == 0.0:
-        masks = [all_ones_mask_set(r_dim, d) for _ in range(B)]
-    else:
-        masks = [
-            sample_mask_set(p_train, r_dim, d, action_dims=params.action_input_dims, rng=rng)
-            for _ in range(B)
-        ]
-    sx = np.stack([m.scaled_x for m in masks])
-    sh = np.stack([m.scaled_h for m in masks])
+    u = rng.random((B, mask_uniform_count(p_train, r_dim, d)))
+    sx, sh = masks_from_uniforms(u, p_train, r_dim, d, params.action_input_dims)
     alpha_r, alpha_d = 0.7, 1.3
 
     templates = params.param_arrays()
