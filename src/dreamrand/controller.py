@@ -279,15 +279,10 @@ class CmaResult:
 
 def _stack_controllers(flats, action_dim, feature_dim, n_trials):
     """Repeat each member's parameters across its trials: lane = (member, trial)."""
-    lam = len(flats)
-    W = np.empty((lam * n_trials, action_dim, feature_dim))
-    B = np.empty((lam * n_trials, action_dim))
-    for m, flat in enumerate(flats):
-        w = flat[: action_dim * feature_dim].reshape(action_dim, feature_dim)
-        b = flat[action_dim * feature_dim :]
-        for t in range(n_trials):
-            W[m * n_trials + t] = w
-            B[m * n_trials + t] = b
+    flats = np.asarray(flats, dtype=np.float64)
+    cut = action_dim * feature_dim
+    W = np.repeat(flats[:, :cut].reshape(-1, action_dim, feature_dim), n_trials, axis=0)
+    B = np.repeat(flats[:, cut:], n_trials, axis=0)
     return W, B
 
 

@@ -138,20 +138,6 @@ class LstmWeights:
     def input_dim(self) -> int:
         return self.w_x.shape[2]
 
-    @classmethod
-    def init(cls, hidden_dim, input_dim, rng) -> "LstmWeights":
-        """Uniform +/- 1/sqrt(fan-in) init; forget-gate bias starts at 1."""
-        lim_x = 1.0 / np.sqrt(input_dim)
-        lim_h = 1.0 / np.sqrt(hidden_dim)
-        w_x = rng.uniform(-lim_x, lim_x, size=(4, hidden_dim, input_dim))
-        w_h = rng.uniform(-lim_h, lim_h, size=(4, hidden_dim, hidden_dim))
-        b = np.zeros((4, hidden_dim))
-        b[GATE_F] = 1.0
-        return cls(w_x, w_h, b)
-
-    def copy(self) -> "LstmWeights":
-        return LstmWeights(self.w_x.copy(), self.w_h.copy(), self.b.copy())
-
 
 def lstm_step(weights: LstmWeights, x, h, c, sx=None, sh=None):
     """One masked LSTM update for a block of rows; returns (h, c).

@@ -8,7 +8,7 @@ draw sequence on every run, and disjoint id tuples give independent streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -20,8 +20,6 @@ __all__ = [
     "log_sum_exp",
     "gaussian_logpdf",
     "finite_diff_grad",
-    "pack_arrays",
-    "unpack_arrays",
     "global_norm",
 ]
 
@@ -121,24 +119,6 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x, eps: float = DEFAULT_F
             raise ValueError(f"non-finite function value near coordinate {idx}")
         grad[idx] = (f_plus - f_minus) / (2.0 * eps)
     return grad
-
-
-def pack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate arrays into one flat float64 vector."""
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
-def unpack_arrays(vec: np.ndarray, templates: Iterable[np.ndarray]) -> list[np.ndarray]:
-    """Split a flat vector back into arrays shaped like ``templates``."""
-    out = []
-    offset = 0
-    for t in templates:
-        size = int(np.prod(t.shape, dtype=int))
-        out.append(np.asarray(vec[offset : offset + size], dtype=np.float64).reshape(t.shape))
-        offset += size
-    if offset != len(vec):
-        raise ValueError(f"vector length {len(vec)} does not match templates ({offset})")
-    return out
 
 
 def global_norm(arrays: Iterable[np.ndarray]) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,26 +104,27 @@ class EvalLossResult:
 
 
 class AdamOptimizer:
-    """Per-parameter first/second moment estimation with bias correction."""
+    """Per-entry first/second moment estimation with bias correction, over
+    one flat parameter vector."""
 
-    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
-    def step(self, arrays, grads):
+    def step(self, theta, grad):
+        """Update ``theta`` in place from the flat gradient ``grad``."""
         self.t += 1
         lr_t = self.lr * np.sqrt(1.0 - self.beta2**self.t) / (1.0 - self.beta1**self.t)
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            a -= lr_t * m / (np.sqrt(v) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * np.square(grad)
+        theta -= lr_t * self.m / (np.sqrt(self.v) + self.eps)
 
 
 def make_windows(trajectories, seq_len):
@@ -150,25 +152,26 @@ def make_windows(trajectories, seq_len):
 
 def _batch_loss_and_grads(params, xb, zb, rb, db, masks, alpha_r, alpha_d):
     """Forward + backward over one mini-batch; blocks arrive (B, T, ...) and
-    ``masks`` is a per-sequence (sx, sh) pair or None."""
+    ``masks`` is a per-sequence (sx, sh) pair or None. Returns the metrics
+    and the gradient as one vector in the layout of ``params.theta``."""
     sx, sh = (None, None) if masks is None else masks
     hs, cache = lstm_forward(params.lstm, xb.transpose(1, 0, 2), sx, sh)
     metrics, d_hs, head_grads = transition_loss_batch(
         params, hs, zb.transpose(1, 0, 2), rb.T, db.T, alpha_r, alpha_d
     )
     lstm_grads = lstm_backward(params.lstm, cache, d_hs)
-    grads = [lstm_grads.w_x, lstm_grads.w_h, lstm_grads.b] + [
-        head_grads[name] for name in ("w_mdn", "b_mdn", "w_reward", "b_reward", "w_done", "b_done")
-    ]
-    return metrics, grads
+    return metrics, params.flatten(SimpleNamespace(lstm=lstm_grads, **head_grads))
 
 
-def _clip_grads(grads, max_norm):
-    norm = global_norm(grads)
+def _clip_grads(params, grad, max_norm):
+    """Scale the flat gradient in place to norm ``max_norm`` at most.
+
+    The norm sums each layout block's squares separately: one pairwise sum
+    over the whole vector rounds differently, and since clipping fires on
+    nearly every batch, that would change every trained model."""
+    norm = global_norm(params.split(grad))
     if max_norm > 0 and norm > max_norm:
-        factor = max_norm / norm
-        for g in grads:
-            g *= factor
+        grad *= max_norm / norm
     return norm
 
 
@@ -221,8 +224,7 @@ def train_dynamics(dataset, cfg: TrainConfig):
             "seed": cfg.seed,
         },
     )
-    arrays = params.param_arrays()
-    opt = AdamOptimizer(arrays, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = AdamOptimizer(params.theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     order_rng = rng_stream(cfg.seed, "train", "order")
     mask_rng = rng_stream(cfg.seed, "train", "masks")
     mask_args = (cfg.p_train, params.input_dim, cfg.hidden_size)
@@ -240,7 +242,7 @@ def train_dynamics(dataset, cfg: TrainConfig):
             idx = perm[start : start + cfg.batch_size]
             b = len(idx)
             masks = masks_from_uniforms(mask_rng.random((b, mask_count)), *mask_args, params.action_input_dims)
-            metrics, grads = _batch_loss_and_grads(
+            metrics, grad = _batch_loss_and_grads(
                 params, xb_all[idx], zb_all[idx], rb_all[idx], db_all[idx], masks,
                 cfg.alpha_r, cfg.alpha_d,
             )
@@ -249,8 +251,8 @@ def train_dynamics(dataset, cfg: TrainConfig):
                     f"non-finite loss at epoch {epoch + 1}, batch {start // cfg.batch_size}: "
                     f"{metrics}"
                 )
-            _clip_grads(grads, cfg.grad_clip)
-            opt.step(arrays, grads)
+            _clip_grads(params, grad, cfg.grad_clip)
+            opt.step(params.theta, grad)
             for key_to, key_from in (("loss", "loss"), ("lz", "lz"), ("lr", "lr"), ("ld", "ld")):
                 total[key_to] += metrics[key_from] * b
             seen += b

@@ -9,22 +9,18 @@ summed over each sequence and averaged across the mini-batch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from . import storage
-from .lstm import LstmWeights
+from .lstm import GATE_F, LstmWeights
 from .numerics import gaussian_logpdf, log_sum_exp, sigmoid
 
 __all__ = [
     "WorldModelParams",
-    "MdnOutput",
-    "Prediction",
-    "heads_forward",
-    "mdn_loss",
-    "transition_loss",
-    "sample_transition",
     "sample_transition_raw",
     "save_model",
     "load_model",
@@ -32,60 +28,59 @@ __all__ = [
 
 MODEL_VERSION = 1
 DONE_CLAMP = 1e-7  # d_hat is clamped to [DONE_CLAMP, 1 - DONE_CLAMP] inside the cross-entropy
-_DHAT_OPEN = 1e-12  # keeps predicted probabilities strictly inside (0, 1)
+
+
+def _param_layout(n, k, hidden_dim, action_dim):
+    """(name, shape) of every trainable array, in the order they sit in
+    ``theta`` and in a checkpoint. A name is the array's attribute path on
+    WorldModelParams."""
+    d, m = hidden_dim, 3 * n * k
+    return [
+        ("lstm.w_x", (4, d, n + action_dim)),
+        ("lstm.w_h", (4, d, d)),
+        ("lstm.b", (4, d)),
+        ("w_mdn", (m, d)),
+        ("b_mdn", (m,)),
+        ("w_reward", (d,)),
+        ("b_reward", (1,)),
+        ("w_done", (d,)),
+        ("b_done", (1,)),
+    ]
 
 
 @dataclass
 class WorldModelParams:
-    """LSTM weights plus linear heads. The MDN head maps R^d -> R^{3nk},
-    ordered as [component logits, means, log standard deviations], each block
-    reshaped to (n, k) row-major."""
+    """All trainable parameters as one float64 vector ``theta``.
 
-    lstm: LstmWeights
-    w_mdn: np.ndarray
-    b_mdn: np.ndarray
-    w_reward: np.ndarray
-    b_reward: np.ndarray
-    w_done: np.ndarray
-    b_done: np.ndarray
+    ``lstm`` (an LstmWeights), ``w_mdn``, ``b_mdn``, ``w_reward``,
+    ``b_reward``, ``w_done`` and ``b_done`` are reshaped views into theta, cut
+    by ``layout``, so writing into one writes theta. The MDN head maps
+    R^d -> R^{3nk}, ordered as [component logits, means, log standard
+    deviations], each block reshaped to (n, k) row-major."""
+
+    theta: np.ndarray
     n: int
     k: int
+    hidden_dim: int
     action_dim: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.n = int(self.n)
-        self.k = int(self.k)
-        self.action_dim = int(self.action_dim)
-        if self.n < 1 or self.k < 1 or self.action_dim < 0:
+        self.n, self.k, self.hidden_dim, self.action_dim = map(int, (self.n, self.k, self.hidden_dim, self.action_dim))
+        if self.n < 1 or self.k < 1 or self.hidden_dim < 1 or self.action_dim < 0:
             raise ValueError("invalid model dimensions")
-        d = self.lstm.hidden_dim
-        for name in ("w_mdn", "b_mdn", "w_reward", "b_reward", "w_done", "b_done"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        shapes = {
-            "w_mdn": (3 * self.n * self.k, d),
-            "b_mdn": (3 * self.n * self.k,),
-            "w_reward": (d,),
-            "b_reward": (1,),
-            "w_done": (d,),
-            "b_done": (1,),
-        }
-        for name, shape in shapes.items():
-            a = getattr(self, name)
-            if a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"non-finite entries in {name}")
-        if self.lstm.input_dim != self.n + self.action_dim:
-            raise ValueError("LSTM input dim must equal n + action_dim")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.lstm.hidden_dim
+        self.layout = _param_layout(self.n, self.k, self.hidden_dim, self.action_dim)
+        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
+        views = self.split(self.theta)
+        if not np.all(np.isfinite(self.theta)):
+            raise ValueError("non-finite parameters")
+        self.lstm = LstmWeights(*views[:3])  # the layout opens with the LSTM's w_x, w_h, b
+        for (name, _), view in zip(self.layout[3:], views[3:]):
+            setattr(self, name, view)
 
     @property
     def input_dim(self) -> int:
-        return self.lstm.input_dim
+        return self.n + self.action_dim
 
     @property
     def action_input_dims(self) -> tuple[int, ...]:
@@ -94,79 +89,37 @@ class WorldModelParams:
 
     @classmethod
     def init(cls, n, k, hidden_dim, action_dim, rng, meta=None) -> "WorldModelParams":
-        lstm = LstmWeights.init(hidden_dim, n + action_dim, rng)
-        lim = 1.0 / np.sqrt(hidden_dim)
-        w_mdn = rng.uniform(-lim, lim, size=(3 * n * k, hidden_dim))
-        w_reward = rng.uniform(-lim, lim, size=hidden_dim)
-        w_done = rng.uniform(-lim, lim, size=hidden_dim)
-        return cls(
-            lstm,
-            w_mdn,
-            np.zeros(3 * n * k),
-            w_reward,
-            np.zeros(1),
-            w_done,
-            np.zeros(1),
-            n,
-            k,
-            action_dim,
-            meta=dict(meta or {}),
-        )
+        """Weights (``w_*``) draw uniform(-1/sqrt(fan-in), 1/sqrt(fan-in)) in
+        layout order, the fan-in being an array's last axis; biases start at
+        0, and the LSTM's forget-gate bias at 1."""
+        size = sum(math.prod(shape) for _, shape in _param_layout(n, k, hidden_dim, action_dim))
+        params = cls(np.zeros(size), n, k, hidden_dim, action_dim, meta=dict(meta or {}))
+        for (name, shape), view in zip(params.layout, params.split(params.theta)):
+            if name.rpartition(".")[2].startswith("w_"):
+                lim = 1.0 / np.sqrt(shape[-1])
+                view[...] = rng.uniform(-lim, lim, size=shape)
+        params.lstm.b[GATE_F] = 1.0
+        return params
+
+    def split(self, vec) -> list[np.ndarray]:
+        """Reshaped views of a theta-sized vector, one per layout entry."""
+        sizes = [math.prod(shape) for _, shape in self.layout]
+        if vec.shape != (sum(sizes),):
+            raise ValueError(f"parameter vector has shape {vec.shape}, expected ({sum(sizes)},)")
+        return [part.reshape(shape) for part, (_, shape) in zip(np.split(vec, np.cumsum(sizes)[:-1]), self.layout)]
+
+    def flatten(self, arrays) -> np.ndarray:
+        """One theta-ordered vector from ``arrays``, an object that holds an
+        array at every layout name, as the parameters' gradients do."""
+        return np.concatenate([np.ravel(attrgetter(name)(arrays)) for name, _ in self.layout])
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Trainable arrays in a fixed order (shared by optimizer and I/O)."""
-        return [
-            ("lstm.w_x", self.lstm.w_x),
-            ("lstm.w_h", self.lstm.w_h),
-            ("lstm.b", self.lstm.b),
-            ("w_mdn", self.w_mdn),
-            ("b_mdn", self.b_mdn),
-            ("w_reward", self.w_reward),
-            ("b_reward", self.b_reward),
-            ("w_done", self.w_done),
-            ("b_done", self.b_done),
-        ]
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for _, a in self.param_items()]
+        """(name, view into theta) of every trainable array, in layout order."""
+        return [(name, attrgetter(name)(self)) for name, _ in self.layout]
 
     def copy(self) -> "WorldModelParams":
-        return WorldModelParams(
-            self.lstm.copy(),
-            self.w_mdn.copy(),
-            self.b_mdn.copy(),
-            self.w_reward.copy(),
-            self.b_reward.copy(),
-            self.w_done.copy(),
-            self.b_done.copy(),
-            self.n,
-            self.k,
-            self.action_dim,
-            meta=dict(self.meta),
-        )
-
-
-@dataclass
-class MdnOutput:
-    """Per-feature mixture parameters: pi rows sum to 1, sigma > 0."""
-
-    pi: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if not (self.pi.shape == self.mu.shape == self.sigma.shape) or self.pi.ndim != 2:
-            raise ValueError("pi, mu, sigma must share shape (n, k)")
-
-
-@dataclass
-class Prediction:
-    mdn: MdnOutput
-    r_hat: float
-    d_hat: float
+        dims = (self.n, self.k, self.hidden_dim, self.action_dim)
+        return WorldModelParams(self.theta.copy(), *dims, meta=dict(self.meta))
 
 
 def _split_mdn(params: WorldModelParams, out):
@@ -196,52 +149,9 @@ def heads_raw(params: WorldModelParams, hs):
     return log_pi, pi, mu, sigma, r_hat, done_logit
 
 
-def heads_forward(params: WorldModelParams, h) -> Prediction:
-    """Single-state prediction from one hidden vector."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (params.hidden_dim,):
-        raise ValueError(f"h has shape {h.shape}, expected ({params.hidden_dim},)")
-    _, pi, mu, sigma, r_hat, done_logit = heads_raw(params, h)
-    d_hat = float(np.clip(sigmoid(done_logit), _DHAT_OPEN, 1.0 - _DHAT_OPEN))
-    return Prediction(MdnOutput(pi, mu, sigma), float(r_hat), d_hat)
-
-
-def mdn_loss(out: MdnOutput, z) -> float:
-    """Negative log-likelihood of z under the per-feature mixtures,
-    accumulated in the log domain."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (out.pi.shape[0],):
-        raise ValueError("z does not match the mixture shape")
-    if np.any(out.sigma <= 0):
-        raise ValueError("mdn_loss requires sigma > 0")
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(out.pi)
-    a = log_pi + gaussian_logpdf(z[:, None], out.mu, out.sigma)
-    return float(-np.sum(log_sum_exp(a, axis=1)))
-
-
-def transition_loss(pred: Prediction, target, alpha_r: float, alpha_d: float):
-    """Joint single-transition loss and its per-term breakdown.
-
-    ``target`` is (z, r, d) with d in {0, 1}. d_hat is clamped away from
-    exact 0/1 before the logs.
-    """
-    z, r, d = target
-    d = float(d)
-    if d not in (0.0, 1.0):
-        raise ValueError("termination target must be 0 or 1")
-    lz = mdn_loss(pred.mdn, z)
-    lr = float((float(r) - pred.r_hat) ** 2)
-    d_hat = float(np.clip(pred.d_hat, DONE_CLAMP, 1.0 - DONE_CLAMP))
-    ld = float(-(d * np.log(d_hat) + (1.0 - d) * np.log(1.0 - d_hat)))
-    total = lz + alpha_r * lr + alpha_d * ld
-    return total, {"lz": lz, "lr": lr, "ld": ld}
-
-
 def sample_transition_raw(pi, mu, sigma, d_hat, rng):
-    """Transition draw from raw mixture arrays; shared by the public op and
-    the dream rollout paths so both consume identical draw sequences
-    (component uniforms, normal perturbations, done uniform, in that order).
+    """Transition draw from raw mixture arrays, in the dream's draw order:
+    component uniforms, normal perturbations, then the done uniform.
     """
     n, k = pi.shape
     u = rng.random(n)
@@ -252,14 +162,6 @@ def sample_transition_raw(pi, mu, sigma, d_hat, rng):
     z_next = mu[rows, comp] + sigma[rows, comp] * eps
     done = bool(rng.random() < d_hat)
     return z_next, comp, done
-
-
-def sample_transition(pred: Prediction, rng):
-    """Draw (z_next, r, done): one mixture component per feature, then a
-    normal draw; reward is the deterministic head output; done ~ Bernoulli.
-    """
-    z_next, _, done = sample_transition_raw(pred.mdn.pi, pred.mdn.mu, pred.mdn.sigma, pred.d_hat, rng)
-    return z_next, float(pred.r_hat), done
 
 
 def transition_loss_batch(params: WorldModelParams, hs, z_target, r_target, d_target, alpha_r, alpha_d):
@@ -342,22 +244,12 @@ def save_model(params: WorldModelParams, path) -> None:
 def load_model(path) -> WorldModelParams:
     header, arrays = storage.read_container(path, "world-model", MODEL_VERSION)
     try:
-        lstm = LstmWeights(arrays["lstm.w_x"], arrays["lstm.w_h"], arrays["lstm.b"])
-        params = WorldModelParams(
-            lstm,
-            arrays["w_mdn"],
-            arrays["b_mdn"],
-            arrays["w_reward"],
-            arrays["b_reward"],
-            arrays["w_done"],
-            arrays["b_done"],
-            header["n"],
-            header["k"],
-            header["action_dim"],
-            meta=dict(header.get("meta", {})),
-        )
-    except (KeyError, ValueError) as exc:
+        theta = np.concatenate([a.ravel() for a in arrays.values()])
+        dims = (header["n"], header["k"], header["hidden_dim"], header["action_dim"])
+        params = WorldModelParams(theta, *dims, meta=dict(header.get("meta", {})))
+    except (KeyError, TypeError, ValueError) as exc:
         raise storage.CorruptFileError(f"invalid world-model checkpoint: {exc}") from exc
-    if params.hidden_dim != header.get("hidden_dim"):
-        raise storage.CorruptFileError("checkpoint header disagrees with stored arrays")
+    stored = [(name, a.shape) for name, a in arrays.items()]
+    if stored != params.layout:
+        raise storage.CorruptFileError(f"checkpoint arrays {stored} do not match the model layout {params.layout}")
     return params

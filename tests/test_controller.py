@@ -16,6 +16,7 @@ from dreamrand.controller import (
     load_controller,
     save_controller,
 )
+from dreamrand.controller import _stack_controllers  # lane-tiling reference test
 from dreamrand.envs import DodgeWorld
 from dreamrand.lstm import lstm_step
 from dreamrand.numerics import rng_stream
@@ -95,6 +96,22 @@ class TestControllerIO:
         storage.write_container(path, "world-model", 1, {}, {"w": np.zeros((1, 5)), "b": np.zeros(1)})
         with pytest.raises(storage.VersionError):
             load_controller(path)
+
+
+class TestStackControllers:
+    def test_matches_member_trial_loop(self):
+        # Lane member * n_trials + trial carries the member's (w, b); the
+        # reference fills the lanes one at a time.
+        action_dim, feature_dim, n_trials = 2, 5, 3
+        flats = rng_stream(7, "stack").normal(size=(4, action_dim * (feature_dim + 1)))
+        W, B = _stack_controllers(flats, action_dim, feature_dim, n_trials)
+        want_w = np.empty((len(flats) * n_trials, action_dim, feature_dim))
+        want_b = np.empty((len(flats) * n_trials, action_dim))
+        for m, flat in enumerate(flats):
+            for t in range(n_trials):
+                want_w[m * n_trials + t] = flat[: action_dim * feature_dim].reshape(action_dim, feature_dim)
+                want_b[m * n_trials + t] = flat[action_dim * feature_dim :]
+        assert np.array_equal(W, want_w) and np.array_equal(B, want_b)
 
 
 class TestBadDimensions:

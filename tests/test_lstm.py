@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dreamrand.lstm import (
+    GATE_F,
     GATE_I,
     LstmWeights,
     lstm_backward,
@@ -11,7 +12,29 @@ from dreamrand.lstm import (
     masks_from_uniforms,
     sample_mask_set,
 )
-from dreamrand.numerics import finite_diff_grad, pack_arrays, rng_stream, unpack_arrays
+from dreamrand.numerics import finite_diff_grad, rng_stream
+from dreamrand.world_model import WorldModelParams
+
+
+def init_weights(hidden_dim, input_dim, rng):
+    """Random weights as WorldModelParams.init draws its LSTM block: uniform
+    +/- 1/sqrt(fan-in), zero biases except a forget-gate bias of 1."""
+    lim_x = 1.0 / np.sqrt(input_dim)
+    lim_h = 1.0 / np.sqrt(hidden_dim)
+    w_x = rng.uniform(-lim_x, lim_x, size=(4, hidden_dim, input_dim))
+    w_h = rng.uniform(-lim_h, lim_h, size=(4, hidden_dim, hidden_dim))
+    b = np.zeros((4, hidden_dim))
+    b[GATE_F] = 1.0
+    return LstmWeights(w_x, w_h, b)
+
+
+def weight_fd_grads(loss_of_weights, w):
+    """Finite-difference gradients of a loss of LstmWeights on w_x, w_h and b."""
+    return [
+        finite_diff_grad(lambda v: loss_of_weights(LstmWeights(v, w.w_h, w.b)), w.w_x),
+        finite_diff_grad(lambda v: loss_of_weights(LstmWeights(w.w_x, v, w.b)), w.w_h),
+        finite_diff_grad(lambda v: loss_of_weights(LstmWeights(w.w_x, w.w_h, v)), w.b),
+    ]
 
 
 def _sigmoid(x):
@@ -157,7 +180,7 @@ class TestLstmStep:
 
     def test_identity_mask_matches_unmasked(self):
         rng = rng_stream(21, "step")
-        w = LstmWeights.init(5, 4, rng)
+        w = init_weights(5, 4, rng)
         x = rng.normal(size=(3, 4))
         h0, c0 = rng.normal(size=(3, 5)) * 0.1, rng.normal(size=(3, 5)) * 0.1
         h, c = lstm_step(w, x, h0, c0)
@@ -168,7 +191,7 @@ class TestLstmStep:
 
     def test_matches_straight_line_reference(self):
         rng = rng_stream(22, "step-ref")
-        w = LstmWeights.init(4, 3, rng)
+        w = init_weights(4, 3, rng)
         masks = [sample_mask_set(0.5, 3, 4, rng=rng) for _ in range(6)]
         xs = rng.normal(size=(6, 3))
         ref = reference_lstm_sequence(w, xs, masks)
@@ -181,7 +204,7 @@ class TestLstmStep:
 
     def test_deterministic(self):
         rng = rng_stream(23, "step-det")
-        w = LstmWeights.init(4, 3, rng)
+        w = init_weights(4, 3, rng)
         sx, sh = sample_mask_set(0.3, 3, 4, rng=rng)
         x = rng.normal(size=(1, 3))
         zeros = np.zeros((1, 4))
@@ -191,7 +214,7 @@ class TestLstmStep:
 
     def test_dimension_mismatch_rejected(self):
         rng = rng_stream(24, "step-dim")
-        w = LstmWeights.init(4, 3, rng)
+        w = init_weights(4, 3, rng)
         zeros = np.zeros((2, 4))
         with pytest.raises(ValueError):
             lstm_step(w, np.zeros((2, 5)), zeros, zeros)
@@ -233,7 +256,7 @@ def _bptt(w, xs, sx, sh, upstream):
 class TestBptt:
     def _loss_pieces(self, seed, p, T=5, d=8, r=6):
         rng = rng_stream(seed, "bptt")
-        w = LstmWeights.init(d, r, rng)
+        w = init_weights(d, r, rng)
         xs = rng.normal(size=(T, r))
         sx, sh = sample_mask_set(p, r, d, action_dims=(r - 1,), rng=rng)
         upstream = rng.normal(size=(T, d))
@@ -248,14 +271,12 @@ class TestBptt:
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_matches_finite_differences(self, p):
         w, xs, sx, sh, upstream = self._loss_pieces(32, p)
-        templates = [w.w_x, w.w_h, w.b]
 
-        def loss_of(vec):
-            w2 = LstmWeights(*unpack_arrays(vec, templates))
+        def loss_of(w2):
             hs, _ = lstm_forward(w2, xs[:, None, :], None if sx is None else sx[None], None if sh is None else sh[None])
             return float(np.sum(hs[:, 0, :] * upstream))
 
-        numeric = unpack_arrays(finite_diff_grad(loss_of, pack_arrays(templates)), templates)
+        numeric = weight_fd_grads(loss_of, w)
         g = _bptt(w, xs, sx, sh, upstream)
         for got, want in zip([g.w_x, g.w_h, g.b], numeric):
             err = np.abs(got - want)
@@ -276,7 +297,7 @@ class TestBptt:
     def test_dropped_input_column_gets_zero_grad(self):
         rng = rng_stream(34, "bptt-drop")
         d, r, T = 6, 5, 4
-        w = LstmWeights.init(d, r, rng)
+        w = init_weights(d, r, rng)
         j = 2
         sx, sh = np.full((4, r), 1.0 / 0.6), np.full((4, d), 1.0 / 0.6)
         sx[:, j] = 0.0
@@ -293,7 +314,7 @@ class TestBptt:
         # masks equals one that multiplies by ones.
         T, B, d, r = 6, 3, 5, 4
         rng = rng_stream(36, "ones-vs-none")
-        w = LstmWeights.init(d, r, rng)
+        w = init_weights(d, r, rng)
         xs = rng.normal(size=(T, B, r))
         upstream = rng.normal(size=(T, B, d))
         lead = (T, B) if per_step else (B,)
@@ -320,7 +341,7 @@ class TestBatchedPasses:
     def _case(self, seed, masks, states):
         T, B, d, r = self.T, self.B, self.d, self.r
         rng = rng_stream(seed, "batched")
-        w = LstmWeights.init(d, r, rng)
+        w = init_weights(d, r, rng)
         xs = rng.normal(size=(T, B, r))
         lead = (B,) if masks == "sequence" else (T, B)
         count = mask_uniform_count(0.4, r, d)
@@ -348,11 +369,7 @@ class TestBatchedPasses:
 
         _, cache = lstm_forward(w, xs, sx, sh, h0, c0)
         g = lstm_backward(w, cache, upstream, dhf, dcf)
-        templates = [w.w_x, w.w_h, w.b]
-        numeric = unpack_arrays(
-            finite_diff_grad(lambda v: loss(w2=LstmWeights(*unpack_arrays(v, templates))), pack_arrays(templates)),
-            templates,
-        )
+        numeric = weight_fd_grads(lambda w2: loss(w2=w2), w)
         numeric.append(finite_diff_grad(lambda v: loss(xs2=v), xs))
         numeric.append(finite_diff_grad(lambda v: loss(h02=v), h0_))
         numeric.append(finite_diff_grad(lambda v: loss(c02=v), c0_))
@@ -363,7 +380,7 @@ class TestBatchedPasses:
     def test_forward_matches_step_loop(self):
         T, B, d, r = self.T, self.B, self.d, self.r
         rng = rng_stream(81, "batched-step")
-        w = LstmWeights.init(d, r, rng)
+        w = init_weights(d, r, rng)
         xs = rng.normal(size=(T, B, r))
         sx, sh = masks_from_uniforms(rng.random((T, B, mask_uniform_count(0.3, r, d))), 0.3, r, d, (r - 1,))
         h0, c0 = rng.normal(size=(B, d)) * 0.5, rng.normal(size=(B, d)) * 0.5
@@ -384,10 +401,14 @@ class TestBatchedPasses:
 
 class TestWeights:
     def test_init_shapes_and_forget_bias(self):
-        w = LstmWeights.init(7, 4, rng_stream(41, "w"))
+        w = init_weights(7, 4, rng_stream(41, "w"))
         assert w.w_x.shape == (4, 7, 4) and w.w_h.shape == (4, 7, 7)
         assert np.all(w.b[1] == 1.0)
         assert np.all(np.abs(w.w_x) <= 1 / 2.0)
+        # The helper draws what the model's init draws for its LSTM block.
+        model = WorldModelParams.init(3, 2, 7, 1, rng_stream(41, "w")).lstm
+        for got, want in ((model.w_x, w.w_x), (model.w_h, w.w_h), (model.b, w.b)):
+            assert np.array_equal(got, want)
 
     def test_nonfinite_rejected(self):
         bad = np.zeros((4, 3, 2))

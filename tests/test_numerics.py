@@ -6,10 +6,8 @@ from dreamrand.numerics import (
     gaussian_logpdf,
     global_norm,
     log_sum_exp,
-    pack_arrays,
     rng_stream,
     sigmoid,
-    unpack_arrays,
 )
 
 
@@ -151,18 +149,6 @@ class TestSmallHelpers:
         assert np.array_equal(sigmoid(x), want, equal_nan=True)
         assert sigmoid(-3.0) == np.exp(-3.0) / (1.0 + np.exp(-3.0))
         assert isinstance(sigmoid(0.25), float)
-
-    def test_pack_unpack_roundtrip(self):
-        rng = rng_stream(5, "pack")
-        arrays = [rng.normal(size=(3, 2)), rng.normal(size=4), rng.normal(size=(1, 1, 5))]
-        vec = pack_arrays(arrays)
-        back = unpack_arrays(vec, arrays)
-        for a, b in zip(arrays, back):
-            assert np.array_equal(a, b)
-
-    def test_unpack_length_mismatch(self):
-        with pytest.raises(ValueError):
-            unpack_arrays(np.zeros(3), [np.zeros((2, 2))])
 
     def test_global_norm(self):
         assert global_norm([np.array([3.0]), np.array([4.0])]) == pytest.approx(5.0)

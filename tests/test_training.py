@@ -13,6 +13,7 @@ from dreamrand.training import (
     train_dynamics,
 )
 from dreamrand.training import _batch_loss_and_grads  # single-step property test
+from dreamrand.world_model import WorldModelParams
 
 
 def tiny_dataset(seed=50, count=14, max_ep_len=80):
@@ -86,8 +87,6 @@ class TestTrainDynamics:
         cfg = TrainConfig(hidden_size=8, epochs=2, seq_len=16, batch_size=4, seed=10, alpha_r=0.0)
         params, report = train_dynamics(ds, cfg)
         fresh = rng_stream(cfg.seed, "train", "init")
-        from dreamrand.world_model import WorldModelParams
-
         init = WorldModelParams.init(ds.n, cfg.mixture_k, cfg.hidden_size, ds.action_dim, fresh)
         assert np.array_equal(params.w_reward, init.w_reward)
         assert np.array_equal(params.b_reward, init.b_reward)
@@ -97,15 +96,49 @@ class TestTrainDynamics:
         ds = tiny_dataset()
         blocks = make_windows(ds.train_trajectories(), 16)
         xb, zb, rb, db = (a[:1] for a in blocks)
-        from dreamrand.world_model import WorldModelParams
-
         params = WorldModelParams.init(ds.n, 3, 8, ds.action_dim, rng_stream(11, "line"))
-        arrays = params.param_arrays()
-        before, grads = _batch_loss_and_grads(params, xb, zb, rb, db, None, 1.0, 1.0)
-        opt = AdamOptimizer(arrays, lr=1e-4)
-        opt.step(arrays, grads)
+        before, grad = _batch_loss_and_grads(params, xb, zb, rb, db, None, 1.0, 1.0)
+        opt = AdamOptimizer(params.theta, lr=1e-4)
+        opt.step(params.theta, grad)
         after, _ = _batch_loss_and_grads(params, xb, zb, rb, db, None, 1.0, 1.0)
         assert after["loss"] < before["loss"]
+
+    def test_flat_adam_matches_per_array_loop(self):
+        # The reference is Adam run array by array over the layout's blocks,
+        # with its own moments; the flat update must match it bit for bit.
+        params = WorldModelParams.init(3, 2, 5, 1, rng_stream(12, "adam"))
+        arrays = [a.copy() for _, a in params.param_items()]
+        ms = [np.zeros_like(a) for a in arrays]
+        vs = [np.zeros_like(a) for a in arrays]
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = AdamOptimizer(params.theta, lr, beta1, beta2, eps)
+        rng = rng_stream(12, "adam-grads")
+        for t in range(1, 51):
+            grad = rng.normal(size=params.theta.size) * 10.0 ** rng.uniform(-4, 2)
+            opt.step(params.theta, grad)
+            lr_t = lr * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+            for a, g, m, v in zip(arrays, params.split(grad), ms, vs):
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * np.square(g)
+                a -= lr_t * m / (np.sqrt(v) + eps)
+            assert all(np.array_equal(a, b) for a, (_, b) in zip(arrays, params.param_items()))
+
+    def test_flat_clip_matches_per_array_clip(self):
+        # The reference sums the squares array by array and scales each
+        # array; one pairwise sum over the flat vector would round differently.
+        params = WorldModelParams.init(3, 2, 5, 1, rng_stream(13, "clip"))
+        rng = rng_stream(13, "clip-grads")
+        for _ in range(50):
+            grad = rng.normal(size=params.theta.size) * 10.0 ** rng.uniform(-1, 1)
+            blocks = [g.copy() for g in params.split(grad)]
+            want = float(np.sqrt(sum(float(np.sum(np.square(g))) for g in blocks)))
+            if want > 5.0:
+                for g in blocks:
+                    g *= 5.0 / want
+            assert training._clip_grads(params, grad, 5.0) == want
+            assert np.array_equal(grad, np.concatenate([g.ravel() for g in blocks]))
 
     def test_windows_skip_short_trajectories(self):
         ds = tiny_dataset(max_ep_len=80)

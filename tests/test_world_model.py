@@ -1,33 +1,27 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from dreamrand import storage
-from dreamrand.lstm import LstmWeights, lstm_backward, lstm_forward, mask_uniform_count, masks_from_uniforms
-from dreamrand.numerics import finite_diff_grad, pack_arrays, rng_stream, unpack_arrays
-from dreamrand.world_model import (
-    MdnOutput,
-    Prediction,
-    WorldModelParams,
-    heads_forward,
-    load_model,
-    mdn_loss,
-    sample_transition,
-    save_model,
-    transition_loss,
-    transition_loss_batch,
-)
+from dreamrand.lstm import lstm_forward, mask_uniform_count, masks_from_uniforms
+from dreamrand.numerics import finite_diff_grad, rng_stream
+from dreamrand.training import _batch_loss_and_grads
+from dreamrand.world_model import WorldModelParams, load_model, save_model, transition_loss_batch
+from world_model_oracles import MdnOutput, Prediction, heads_forward, mdn_loss, sample_transition, transition_loss
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# sha256 of save_model(WorldModelParams.init(3, 2, 4, 1, rng_stream(0, "golden-model"))):
+# pins the checkpoint bytes (container format, layout order, init draws).
+GOLDEN_MODEL_SHA256 = "0ad8fea00d9771b855f237857bd6915ee0634f8fb137d96115532b97acddc143"
 
 
 def make_params(seed=0, n=4, k=3, d=8, action_dim=2, scale=1.0):
     rng = rng_stream(seed, "wm-params")
     p = WorldModelParams.init(n, k, d, action_dim, rng)
     if scale != 1.0:
-        for a in p.param_arrays():
-            a *= scale
+        p.theta *= scale
     return p
 
 
@@ -209,7 +203,8 @@ class TestSampleTransition:
 
 
 def full_loss_gradcheck_instance(seed, p_train, n=4, k=3, d=8, action_dim=2, T=5, B=2):
-    """One random joint-loss instance: returns (analytic, numeric, templates)."""
+    """One random joint-loss instance: the training step's flat gradient and
+    the finite differences of its loss over theta."""
     rng = rng_stream(seed, "gradcheck")
     params = make_params(seed, n=n, k=k, d=d, action_dim=action_dim)
     r_dim = params.input_dim
@@ -220,25 +215,14 @@ def full_loss_gradcheck_instance(seed, p_train, n=4, k=3, d=8, action_dim=2, T=5
     u = rng.random((B, mask_uniform_count(p_train, r_dim, d)))
     sx, sh = masks_from_uniforms(u, p_train, r_dim, d, params.action_input_dims)
     alpha_r, alpha_d = 0.7, 1.3
+    batch = (xs.transpose(1, 0, 2), z_t.transpose(1, 0, 2), r_t.T, d_t.T, (sx, sh), alpha_r, alpha_d)
 
-    templates = params.param_arrays()
-
-    def loss_of(vec):
-        arrays = unpack_arrays(vec, templates)
-        lstm = LstmWeights(arrays[0], arrays[1], arrays[2])
-        p2 = WorldModelParams(lstm, *arrays[3:], n, k, action_dim)
-        hs, _ = lstm_forward(p2.lstm, xs, sx, sh)
-        metrics, _, _ = transition_loss_batch(p2, hs, z_t, r_t, d_t, alpha_r, alpha_d)
+    def loss_of(theta):
+        metrics, _ = _batch_loss_and_grads(WorldModelParams(theta, n, k, d, action_dim), *batch)
         return metrics["loss"]
 
-    hs, cache = lstm_forward(params.lstm, xs, sx, sh)
-    _, d_hs, head_grads = transition_loss_batch(params, hs, z_t, r_t, d_t, alpha_r, alpha_d)
-    lstm_grads = lstm_backward(params.lstm, cache, d_hs)
-    analytic = pack_arrays(
-        [lstm_grads.w_x, lstm_grads.w_h, lstm_grads.b]
-        + [head_grads[name] for name in ("w_mdn", "b_mdn", "w_reward", "b_reward", "w_done", "b_done")]
-    )
-    numeric = finite_diff_grad(loss_of, pack_arrays(templates))
+    _, analytic = _batch_loss_and_grads(params, *batch)
+    numeric = finite_diff_grad(loss_of, params.theta)
     return analytic, numeric
 
 
@@ -323,3 +307,55 @@ class TestCheckpoint:
         storage.write_container(path, "controller", 1, {}, {"w": np.zeros(3)})
         with pytest.raises(storage.VersionError):
             load_model(path)
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        path = tmp_path / "golden.ckpt"
+        save_model(WorldModelParams.init(3, 2, 4, 1, rng_stream(0, "golden-model")), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays: arrays.pop("w_reward"),
+            lambda arrays: arrays.update(w_mdn=arrays["w_mdn"].T),  # same size, wrong shape
+            lambda arrays: arrays.update(b_done=np.zeros(2)),
+        ],
+        ids=["missing", "transposed", "resized"],
+    )
+    def test_layout_mismatch_refused(self, tmp_path, edit):
+        params = make_params(16)
+        arrays = dict(params.param_items())
+        edit(arrays)
+        header = {"n": params.n, "k": params.k, "hidden_dim": params.hidden_dim, "action_dim": params.action_dim}
+        path = tmp_path / "model.ckpt"
+        storage.write_container(path, "world-model", 1, header, arrays)
+        with pytest.raises(storage.CorruptFileError):
+            load_model(path)
+
+
+class TestLayout:
+    def test_views_share_theta_in_layout_order(self):
+        params = make_params(17)
+        items = params.param_items()
+        assert [(name, a.shape) for name, a in items] == params.layout
+        assert all(np.shares_memory(a, params.theta) for _, a in items)
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), params.theta)
+        params.w_done[:] = 0.25  # w_done sits just before the one-entry b_done
+        assert np.all(params.theta[-params.hidden_dim - 1 : -1] == 0.25)
+
+    def test_copy_shares_nothing(self):
+        params = make_params(18)
+        twin = params.copy()
+        assert np.array_equal(twin.theta, params.theta)
+        assert not any(np.shares_memory(a, params.theta) for _, a in twin.param_items())
+        twin.theta += 1.0
+        assert not np.array_equal(twin.w_mdn, params.w_mdn)
+
+    def test_bad_theta_rejected(self):
+        params = make_params(20)
+        with pytest.raises(ValueError):
+            WorldModelParams(params.theta[:-1], params.n, params.k, params.hidden_dim, params.action_dim)
+        bad = params.theta.copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError):
+            WorldModelParams(bad, params.n, params.k, params.hidden_dim, params.action_dim)
