@@ -289,10 +289,11 @@ def _stack_controllers(flats, action_dim, feature_dim, n_trials):
 def cma_optimize(
     dream_cfg: DreamConfig,
     cma_cfg: CmaConfig,
+    starts: np.ndarray,
     features: FeatureSpec = FeatureSpec.ZH,
-    starts: np.ndarray | None = None,
 ) -> CmaResult:
-    """Train the controller inside dream environments with CMA-ES.
+    """Train the controller inside dream environments with CMA-ES; every
+    dream episode starts from the (m, n) pool ``starts``.
 
     Every member of each generation is scored by its mean return over
     n_trials dream episodes; each (generation, member, trial) episode runs on
@@ -341,17 +342,15 @@ def cma_optimize(
         gen_stats.append(stats)
 
         if gen % cma_cfg.eval_cadence == 0 or gen == cma_cfg.generations:
-            best_member = int(np.argmax(np.where(bad, -np.inf, fitness)))
-            ctrl = ControllerParams.from_flat(xs[best_member], action_dim, feature_dim, features)
+            best = xs[int(np.argmax(np.where(bad, -np.inf, fitness)))]
             n_eval = cma_cfg.n_pop * n_trials
-            WB = np.repeat(ctrl.w[None], n_eval, axis=0)
-            BB = np.repeat(ctrl.b[None], n_eval, axis=0)
+            WB, BB = _stack_controllers(best[None], action_dim, feature_dim, n_eval)
             eval_rngs = [rng_stream(cma_cfg.seed, "leaderboard", gen, j) for j in range(n_eval)]
             eval_out = rollout_batch(dream_cfg, WB, BB, eval_rngs, starts=starts, include_c=include_c)
             board.append(
                 LeaderBoardEntry(
                     gen,
-                    ctrl.copy(),
+                    ControllerParams.from_flat(best, action_dim, feature_dim, features),
                     float(eval_out["returns"].mean()),
                     float(eval_out["returns"].std()),
                 )

@@ -12,9 +12,11 @@ Noisy (unmasked stepping plus Gaussian perturbation of the latent), and
 explicit ensembles (the active member is resampled per step or per episode,
 hidden state carried across members unchanged).
 
-``rollout_batch`` runs one episode per lane in lockstep; ``DreamEnv`` is its
-one-lane view. Both make their draws through ``_reset_draws`` and
-``_step_draws`` and step through ``_dream_step``.
+Every episode starts from zero hidden and cell states and a latent picked
+uniformly from a start pool of observed initial states, the (m, n) ``starts``
+both drivers require. ``rollout_batch`` runs one episode per lane in
+lockstep; ``DreamEnv`` is its one-lane view. Both make their draws through
+``_reset_draws`` and ``_step_draws`` and step through ``_dream_step``.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from .world_model import sample_transition_raw  # noqa: F401  (unused here; perf
 
 __all__ = [
     "RandomizationPolicy",
-    "ZInit",
     "DreamConfig",
     "DreamEnvState",
     "DreamEnv",
@@ -47,11 +48,6 @@ class RandomizationPolicy(str, Enum):
     OFF = "off"
     EPISODE = "episode"
     STEP = "step"
-
-
-class ZInit(str, Enum):
-    STANDARD_NORMAL = "standard_normal"
-    DATASET_STARTS = "dataset_starts"
 
 
 class DreamDoneError(RuntimeError):
@@ -68,14 +64,11 @@ class DreamConfig:
     p_infer: float = 0.1
     policy: RandomizationPolicy = RandomizationPolicy.STEP
     mc_samples: int = 0
-    z_init: ZInit = ZInit.DATASET_STARTS
     max_ep_len: int = 1000
     noise_sigma: float = 0.0
-    rescale: str = "infer"  # inverted-dropout rescaling convention at inference
 
     def __post_init__(self):
         self.policy = RandomizationPolicy(self.policy)
-        self.z_init = ZInit(self.z_init)
         if not self.ensemble:
             raise ValueError("ensemble must contain at least one model")
         first = self.ensemble[0]
@@ -98,20 +91,10 @@ class DreamConfig:
                 raise ValueError("explicit ensembles run without dropout (p_infer=0)")
             if self.policy == RandomizationPolicy.OFF:
                 raise ValueError("ensembles need a member-resampling cadence (episode or step)")
-        if self.rescale not in ("infer", "train", "none"):
-            raise ValueError("rescale must be one of 'infer', 'train', 'none'")
 
     @property
     def model(self) -> WorldModelParams:
         return self.ensemble[0]
-
-    def scale_rate(self) -> float | None:
-        """Rate used for inverted-dropout rescaling of inference masks."""
-        if self.rescale == "infer":
-            return None  # rescale by p_infer itself
-        if self.rescale == "train":
-            return float(self.model.meta.get("p_train", 0.0))
-        return 0.0
 
 
 @dataclass
@@ -138,6 +121,14 @@ def write_trace(records, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _start_pool(starts, n) -> np.ndarray:
+    """The start pool as float64 (m, n); refuses an empty or misshapen one."""
+    pool = np.asarray(starts, dtype=np.float64)
+    if pool.ndim != 2 or pool.shape[1] != n or len(pool) == 0:
+        raise ValueError(f"starts has shape {pool.shape}, expected (m, {n}) with m > 0")
+    return pool
+
+
 def _mask_plan(cfg: DreamConfig):
     """How each lane draws masks: (uniforms per mask set, mask sets drawn at
     reset, mask sets drawn per step, the ``masks_from_uniforms`` arguments
@@ -147,7 +138,7 @@ def _mask_plan(cfg: DreamConfig):
     lane-step, under any policy.
     """
     model = cfg.model
-    args = (cfg.p_infer, model.input_dim, model.hidden_dim, model.action_input_dims, cfg.scale_rate())
+    args = (cfg.p_infer, model.input_dim, model.hidden_dim, model.action_input_dims)
     per_set = mask_uniform_count(*args[:3])
     if not per_set:
         return 0, 0, 0, args
@@ -157,10 +148,10 @@ def _mask_plan(cfg: DreamConfig):
 
 
 def _reset_draws(cfg: DreamConfig, rngs, starts, m_u):
-    """Each lane's reset draws, lane by lane, from its own generator: the
-    initial latent (``standard_normal(n)``, or ``integers(m)`` picking one of
-    the m ``starts``), then ``random(m_u)`` for an Episode mask when m_u > 0,
-    then ``integers(members)`` for an ensemble.
+    """Each lane's reset draws, lane by lane, from its own generator:
+    ``integers(m)`` picking the initial latent from the m ``starts``, then
+    ``random(m_u)`` for an Episode mask when m_u > 0, then
+    ``integers(members)`` for an ensemble.
 
     Returns the latents (L, n), the mask uniforms (L, m_u) and the members
     (L,).
@@ -169,10 +160,7 @@ def _reset_draws(cfg: DreamConfig, rngs, starts, m_u):
     U0 = np.empty((len(rngs), m_u))
     member = np.zeros(len(rngs), dtype=np.int64)
     for lane, rng in enumerate(rngs):
-        if cfg.z_init == ZInit.STANDARD_NORMAL:
-            rng.standard_normal(out=Z[lane])
-        else:
-            Z[lane] = starts[int(rng.integers(len(starts)))]
+        Z[lane] = starts[int(rng.integers(len(starts)))]
         if m_u:
             rng.random(out=U0[lane])
         if len(cfg.ensemble) > 1:
@@ -264,11 +252,9 @@ class DreamEnv:
     mask-sampling counter, and the optional step trace.
     """
 
-    def __init__(self, cfg: DreamConfig, starts: np.ndarray | None = None):
+    def __init__(self, cfg: DreamConfig, starts: np.ndarray):
         self.cfg = cfg
-        self.starts = None if starts is None else np.asarray(starts, dtype=np.float64)
-        if self.starts is not None and (self.starts.ndim != 2 or self.starts.shape[1] != cfg.model.n):
-            raise ValueError("starts must have shape (count, n)")
+        self.starts = _start_pool(starts, cfg.model.n)
         self.state: DreamEnvState | None = None
         self.masks_sampled = 0
         self.trace: list | None = None
@@ -287,11 +273,9 @@ class DreamEnv:
         return self.trace
 
     def reset(self, rng):
-        """Start an episode: zero hidden/cell state, draw the initial latent,
-        and (under Episode policy) this episode's mask."""
+        """Start an episode: zero hidden/cell state, draw the initial latent
+        from the start pool, and (under Episode policy) this episode's mask."""
         cfg = self.cfg
-        if cfg.z_init == ZInit.DATASET_STARTS and (self.starts is None or len(self.starts) == 0):
-            raise ValueError("dataset_starts requires a non-empty start pool")
         per_set, at_reset, _, mask_args = self._plan
         Z, U0, member = _reset_draws(cfg, [rng], self.starts, per_set * at_reset)
         self.masks_sampled += at_reset
@@ -350,7 +334,7 @@ def rollout_batch(
     controller_w: np.ndarray,
     controller_b: np.ndarray,
     lane_rngs,
-    starts: np.ndarray | None = None,
+    starts: np.ndarray,
     include_c: bool = False,
 ):
     """Roll one dream episode per lane in lockstep; each loop iteration runs
@@ -381,12 +365,7 @@ def rollout_batch(
         raise ValueError(f"controller_w has shape {W.shape}, expected {(L, model.action_dim, f_dim)}")
     if Bc.shape != (L, model.action_dim):
         raise ValueError(f"controller_b has shape {Bc.shape}, expected {(L, model.action_dim)}")
-    if starts is not None:
-        starts = np.asarray(starts, dtype=np.float64)
-        if starts.ndim != 2 or starts.shape[1] != n:
-            raise ValueError(f"starts has shape {starts.shape}, expected (m, {n})")
-    if cfg.z_init == ZInit.DATASET_STARTS and (starts is None or len(starts) == 0):
-        raise ValueError("dataset_starts requires a non-empty start pool")
+    starts = _start_pool(starts, n)
 
     per_set, at_reset, sets, mask_args = _mask_plan(cfg)
     m_u = sets * per_set  # mask uniforms per lane-step

@@ -327,10 +327,6 @@ class Trajectory:
     def n(self) -> int:
         return self.z.shape[1]
 
-    def tuples(self):
-        """The (z, a, r, d) view, one tuple per executed step."""
-        return [(self.z[t], self.a[t], float(self.r[t]), bool(self.d[t])) for t in range(self.steps)]
-
 
 @dataclass
 class Dataset:

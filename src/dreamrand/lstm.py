@@ -19,15 +19,18 @@ state are formed, not in the pre-activations:
 rollout and the real-environment evaluation call it. ``lstm_forward`` and
 ``lstm_backward`` unroll the same update for training, keeping only the
 recurrence in the Python time loop, because the backward pass needs the
-intermediates of every step. The forward pass computes the masked input
-projection plus bias for all T*B rows in one batched matmul before the loop;
-each step adds one (4, B, d) @ (4, d, d) product of the masked previous
-hidden state, takes one sigmoid over the stacked o, i, f gates and forms c
-and h. The backward pass computes the step-independent gate factors for all
-steps before the loop, runs only dh, dc, the gate gradients and the
-recurrent product per step, and forms the weight and input gradients after
-the loop over the stacked gate gradients. Inside the unroll the gates are
-held in the order (o, i, f, w), so the three sigmoid gates sit side by side.
+intermediates of every step. Every unroll starts from zero hidden and cell
+states. The forward pass computes the masked input projection plus bias for
+all T*B rows in one batched matmul before the loop; each step adds one
+(4, B, d) @ (4, d, d) product of the masked previous hidden state, takes one
+sigmoid over the stacked o, i, f gates and forms c and h. The backward pass
+computes the step-independent gate factors for all steps before the loop,
+runs only dh, dc, the gate gradients and the recurrent product per step, and
+forms the weight gradients after the loop over the stacked gate gradients;
+it returns gradients on the weights only, since training has no use for
+gradients on the inputs or the initial states. Inside the unroll the gates
+are held in the order (o, i, f, w), so the three sigmoid gates sit side by
+side.
 """
 from __future__ import annotations
 
@@ -62,21 +65,17 @@ def mask_uniform_count(p, input_dim, hidden_dim) -> int:
     return 0 if p == 0.0 else 4 * (input_dim + hidden_dim)
 
 
-def masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims=(), scale_rate=None):
+def masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims=()):
     """Scaled masks from uniforms u (..., mask_uniform_count), one mask set
     per leading index: sx (..., 4, input_dim) and sh (..., 4, hidden_dim).
 
     The first 4*input_dim draws of a set give sx, gate-major, the rest sh.
-    An entry is kept when its draw is >= p and then carries 1/(1 - rate),
-    where the rate is ``scale_rate``, or p itself when that is None; a rate
-    of 0 leaves kept units at 1. Action entries are always 1. At p == 0 there
-    are no draws and no masks: the result is (None, None).
+    An entry is kept when its draw is >= p and then carries 1/(1 - p).
+    Action entries are always 1. At p == 0 there are no draws and no masks:
+    the result is (None, None).
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    rate = p if scale_rate is None else scale_rate
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rescale rate must be in [0, 1), got {rate}")
     action_dims = list(action_dims)
     if action_dims and not 0 <= min(action_dims) <= max(action_dims) < input_dim:
         raise ValueError("action_dims out of input range")
@@ -87,7 +86,7 @@ def masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims=(), scale_rate=
     if p == 0.0:
         return None, None
     lead = u.shape[:-1]
-    scale = 1.0 / (1.0 - rate)
+    scale = 1.0 / (1.0 - p)
     keep = u >= p
     sx = keep[..., : 4 * input_dim].reshape(lead + (4, input_dim)).astype(np.float64) * scale
     if action_dims:
@@ -96,7 +95,7 @@ def masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims=(), scale_rate=
     return sx, sh
 
 
-def sample_mask_set(p, input_dim, hidden_dim, action_dims=(), rng=None, scale_rate=None):
+def sample_mask_set(p, input_dim, hidden_dim, action_dims=(), rng=None):
     """One mask set (sx (4, input_dim), sh (4, hidden_dim)) from one
     ``rng.random(mask_uniform_count)`` call: every non-action entry of the
     eight masks is dropped independently with probability p.
@@ -108,7 +107,7 @@ def sample_mask_set(p, input_dim, hidden_dim, action_dims=(), rng=None, scale_ra
     if count and rng is None:
         raise ValueError("rng required when p > 0")
     u = rng.random(count) if count else np.empty(0)
-    return masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims, scale_rate)
+    return masks_from_uniforms(u, p, input_dim, hidden_dim, action_dims)
 
 
 @dataclass
@@ -173,8 +172,7 @@ class LstmCache:
     sig: np.ndarray  # (3, T, B, d) sigmoids of the o, i, f pre-activations
     tanh_w: np.ndarray  # (T, B, d)
     tanh_c: np.ndarray  # (T, B, d)
-    cs: np.ndarray  # (T+1, B, d), cs[0] = c0
-    sx: np.ndarray  # (4, T or 1, B or 1, r) scaled input masks
+    cs: np.ndarray  # (T+1, B, d), cs[0] = 0
     sh: np.ndarray  # (4, T or 1, B or 1, d) scaled hidden masks
 
 
@@ -201,13 +199,13 @@ def _mask_views(sx, sh, T, B, r, d):
     return sx.transpose(2, 0, 1, 3)[_UNROLL], sh.transpose(2, 0, 1, 3)[_UNROLL]
 
 
-def lstm_forward(weights: LstmWeights, xs, sx=None, sh=None, h0=None, c0=None):
-    """Unroll the masked LSTM over an input block.
+def lstm_forward(weights: LstmWeights, xs, sx=None, sh=None):
+    """Unroll the masked LSTM over an input block from zero states.
 
     xs: (T, B, r). sx/sh: scaled masks, (B, 4, r)/(B, 4, d) for per-sequence
     masks or (T, B, 4, r)/(T, B, 4, d) for per-step masks; None disables
     masking entirely. Returns (hs, cache) with hs of shape (T, B, d) holding
-    h_1..h_T. States start at zero unless h0/c0 are given.
+    h_1..h_T.
     """
     xs = np.asarray(xs, dtype=np.float64)
     T, B, r = xs.shape
@@ -215,9 +213,9 @@ def lstm_forward(weights: LstmWeights, xs, sx=None, sh=None, h0=None, c0=None):
     if r != weights.input_dim:
         raise ValueError(f"input dim {r} does not match weights ({weights.input_dim})")
     sx, sh = _mask_views(sx, sh, T, B, r, d)
-    h = np.zeros((B, d)) if h0 is None else np.array(h0, dtype=np.float64)
+    h = np.zeros((B, d))
     cs = np.empty((T + 1, B, d))
-    cs[0] = 0.0 if c0 is None else c0
+    cs[0] = 0.0
 
     # Input projection plus bias for every step, one matmul over the gates.
     xm = np.multiply(xs, sx, order="C")  # (4, T, B, r)
@@ -247,7 +245,7 @@ def lstm_forward(weights: LstmWeights, xs, sx=None, sh=None, h0=None, c0=None):
         c += s_oif[1] * tw
         h = np.multiply(s_oif[0], np.tanh(c, out=tanh_c[t]), out=hs[t])
 
-    return hs, LstmCache(xm, hm, sig, tanh_w, tanh_c, cs, sx, sh)
+    return hs, LstmCache(xm, hm, sig, tanh_w, tanh_c, cs, sh)
 
 
 @dataclass
@@ -255,16 +253,11 @@ class LstmGrads:
     w_x: np.ndarray
     w_h: np.ndarray
     b: np.ndarray
-    xs: np.ndarray  # (T, B, r) gradient on the raw (pre-mask) inputs
-    h0: np.ndarray
-    c0: np.ndarray
 
 
-def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs, d_h_final=None, d_c_final=None) -> LstmGrads:
-    """Exact reverse-mode gradients of the unrolled masked LSTM.
-
-    d_hs: (T, B, d) upstream gradients on each h_t; optional extra gradients
-    on the final h/c are added at the last step.
+def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs) -> LstmGrads:
+    """Exact reverse-mode gradients of the unrolled masked LSTM on its
+    weights, from d_hs (T, B, d), the upstream gradients on each h_t.
     """
     d_hs = np.asarray(d_hs, dtype=np.float64)
     T, B, d = d_hs.shape
@@ -283,8 +276,8 @@ def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs, d_h_final=None, 
 
     w_h = weights.w_h[_UNROLL]
     d_pre = np.empty((4, T, B, d))
-    dh_next = np.zeros((B, d)) if d_h_final is None else np.array(d_h_final, dtype=np.float64)
-    dc_next = np.zeros((B, d)) if d_c_final is None else np.array(d_c_final, dtype=np.float64)
+    dh_next = np.zeros((B, d))
+    dc_next = np.zeros((B, d))
     per_step = cache.sh.shape[1] > 1
     sh_t = cache.sh[:, 0]
     for t in reversed(range(T)):
@@ -300,14 +293,11 @@ def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs, d_h_final=None, 
         d_hm *= sh_t
         dh_next = np.add.reduce(d_hm, axis=0)
 
-    # Weight and input gradients over all steps at once.
+    # Weight gradients over all steps at once.
     d_rows = d_pre.reshape(4, T * B, d)
     d_rows_T = d_rows.transpose(0, 2, 1)
     g_wx = np.matmul(d_rows_T, cache.xm.reshape(4, T * B, r))
     g_wh = np.matmul(d_rows_T, cache.hm.reshape(4, T * B, d))
     g_b = np.matmul(np.ones(T * B), d_rows)  # the sum over rows
-    d_xm = np.matmul(d_rows, weights.w_x[_UNROLL]).reshape(4, T, B, r)
-    d_xm *= cache.sx
-    g_xs = d_xm.sum(axis=0)
-    return LstmGrads(g_wx[_STORED], g_wh[_STORED], g_b[_STORED], g_xs, dh_next, dc_next)
+    return LstmGrads(g_wx[_STORED], g_wh[_STORED], g_b[_STORED])
 

@@ -9,7 +9,7 @@ mirroring dream-time step randomization.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -232,11 +232,13 @@ def train_dynamics(dataset, cfg: TrainConfig):
 
     xb_all, zb_all, rb_all, db_all = train_blocks
     n_windows = xb_all.shape[0]
-    epoch_rows = {"train_loss": [], "test_loss": [], "lz": [], "lr": [], "ld": []}
+    # Batch metric -> LossReport column, averaged over the epoch's sequences.
+    columns = {"loss": "train_loss", "lz": "lz", "lr": "lr", "ld": "ld"}
+    rows = {f.name: [] for f in fields(LossReport)}
 
     for epoch in range(cfg.epochs):
         perm = order_rng.permutation(n_windows)
-        total = {"loss": 0.0, "lz": 0.0, "lr": 0.0, "ld": 0.0}
+        total = dict.fromkeys(columns, 0.0)
         seen = 0
         for start in range(0, n_windows, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
@@ -253,23 +255,14 @@ def train_dynamics(dataset, cfg: TrainConfig):
                 )
             _clip_grads(params, grad, cfg.grad_clip)
             opt.step(params.theta, grad)
-            for key_to, key_from in (("loss", "loss"), ("lz", "lz"), ("lr", "lr"), ("ld", "ld")):
-                total[key_to] += metrics[key_from] * b
+            for key in total:
+                total[key] += metrics[key] * b
             seen += b
-        epoch_rows["train_loss"].append(total["loss"] / seen)
-        epoch_rows["lz"].append(total["lz"] / seen)
-        epoch_rows["lr"].append(total["lr"] / seen)
-        epoch_rows["ld"].append(total["ld"] / seen)
-        epoch_rows["test_loss"].append(_eval_split_loss(params, test_blocks, cfg.alpha_r, cfg.alpha_d))
+        for key, field in columns.items():
+            rows[field].append(total[key] / seen)
+        rows["test_loss"].append(_eval_split_loss(params, test_blocks, cfg.alpha_r, cfg.alpha_d))
 
-    report = LossReport(
-        epoch_rows["train_loss"],
-        epoch_rows["test_loss"],
-        epoch_rows["lz"],
-        epoch_rows["lr"],
-        epoch_rows["ld"],
-    )
-    return params, report
+    return params, LossReport(**rows)
 
 
 def evaluate_loss(
@@ -278,38 +271,24 @@ def evaluate_loss(
     p_infer: float,
     n_mask_samples: int = 8,
     seed: int = 0,
-    split: str = "test",
-    seq_len: int | None = None,
-    alpha_r: float | None = None,
-    alpha_d: float | None = None,
-    scale_rate: float | None = None,
 ) -> EvalLossResult:
-    """Joint loss under inference-time dropout: a fresh mask set per step per
-    sequence at rate p_infer, averaged over sequences and over
-    ``n_mask_samples`` independent mask draws.
+    """Joint loss on the test split under inference-time dropout: a fresh
+    mask set per step per sequence at rate p_infer, kept units scaled by
+    1/(1 - p_infer), averaged over sequences and over ``n_mask_samples``
+    independent mask draws.
 
-    alpha weights and the sequence length default to the values the model
-    was trained with (from its metadata). ``scale_rate`` overrides the
-    inverted-dropout rescaling rate (None = rescale by p_infer itself).
+    The windows and the loss use the sequence length and the alpha weights
+    the model was trained with (from its metadata).
     """
     if not 0.0 <= p_infer < 1.0:
         raise ValueError("p_infer must be in [0, 1)")
     if n_mask_samples < 1:
         raise ValueError("n_mask_samples must be >= 1")
-    if split == "test":
-        trajs = dataset.test_trajectories()
-    elif split == "train":
-        trajs = dataset.train_trajectories()
-    elif split == "all":
-        trajs = list(dataset.trajectories)
-    else:
-        raise ValueError(f"unknown split {split!r}")
-    seq_len = seq_len or int(params.meta.get("seq_len", 32))
-    alpha_r = params.meta.get("alpha_r", 1.0) if alpha_r is None else alpha_r
-    alpha_d = params.meta.get("alpha_d", 1.0) if alpha_d is None else alpha_d
-    blocks = make_windows(trajs, seq_len)
+    alpha_r = params.meta.get("alpha_r", 1.0)
+    alpha_d = params.meta.get("alpha_d", 1.0)
+    blocks = make_windows(dataset.test_trajectories(), int(params.meta.get("seq_len", 32)))
     if blocks is None:
-        raise ValueError(f"no usable sequences in split {split!r}")
+        raise ValueError("no usable sequences in the test split")
     xb, zb, rb, db = blocks
     W, T, r_dim = xb.shape
     d = params.hidden_dim
@@ -325,7 +304,7 @@ def evaluate_loss(
         else:
             # One mask set per (window, step), drawn window-major.
             u_shape = (W, T, mask_uniform_count(p_infer, r_dim, d))
-            sx, sh = masks_from_uniforms(rng.random(u_shape), p_infer, r_dim, d, params.action_input_dims, scale_rate)
+            sx, sh = masks_from_uniforms(rng.random(u_shape), p_infer, r_dim, d, params.action_input_dims)
             sx, sh = sx.transpose(1, 0, 2, 3), sh.transpose(1, 0, 2, 3)
         hs, _ = lstm_forward(params.lstm, xs, sx, sh)
         metrics, _, _ = transition_loss_batch(params, hs, zt, rt, dt, alpha_r, alpha_d)

@@ -9,13 +9,13 @@ truncation flags and mask count bit for bit.
 """
 import numpy as np
 
-from dreamrand.dream import RandomizationPolicy, ZInit
+from dreamrand.dream import RandomizationPolicy
 from dreamrand.lstm import sample_mask_set
 from dreamrand.numerics import sigmoid
 from dreamrand.world_model import heads_raw, sample_transition_raw
 
 
-def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts=None, include_c=False):
+def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts, include_c=False):
     """Roll one dream episode per lane in lockstep, drawing lane by lane.
 
     Same arguments and result dict as ``rollout_batch``.
@@ -25,7 +25,6 @@ def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts=N
     a_dim = model.action_dim
     L = len(lane_rngs)
     n_models = len(cfg.ensemble)
-    scale_rate = cfg.scale_rate()
 
     H = np.zeros((L, d))
     C = np.zeros((L, d))
@@ -44,17 +43,10 @@ def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts=N
         if cfg.p_infer == 0.0:  # no mask is drawn at p = 0; the lane runs unmasked
             return
         masks_sampled += 1
-        SX[lane], SH[lane] = sample_mask_set(
-            cfg.p_infer, r, d, action_dims=model.action_input_dims, rng=rng, scale_rate=scale_rate
-        )
+        SX[lane], SH[lane] = sample_mask_set(cfg.p_infer, r, d, action_dims=model.action_input_dims, rng=rng)
 
     for lane, rng in enumerate(lane_rngs):
-        if cfg.z_init == ZInit.STANDARD_NORMAL:
-            Z[lane] = rng.standard_normal(n)
-        else:
-            if starts is None or len(starts) == 0:
-                raise ValueError("dataset_starts requires a non-empty start pool")
-            Z[lane] = starts[int(rng.integers(len(starts)))]
+        Z[lane] = starts[int(rng.integers(len(starts)))]
         if cfg.policy == RandomizationPolicy.EPISODE and cfg.mc_samples == 0:
             sample_lane_mask(lane, rng)
         if n_models > 1:
@@ -104,10 +96,7 @@ def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts=N
                     for kk in range(K):
                         masks_sampled += 1
                         sx_mc[j, kk], sh_mc[j, kk] = sample_mask_set(
-                            cfg.p_infer, r, d,
-                            action_dims=model.action_input_dims,
-                            rng=lane_rngs[lane],
-                            scale_rate=scale_rate,
+                            cfg.p_infer, r, d, action_dims=model.action_input_dims, rng=lane_rngs[lane]
                         )
                 Xr = np.repeat(X, K, axis=0)
                 Hr = np.repeat(H[active], K, axis=0)

@@ -5,6 +5,7 @@ import pytest
 
 from dreamrand import storage
 from dreamrand.controller import (
+    CmaConfig,
     CmaEs,
     ControllerParams,
     FeatureSpec,
@@ -12,11 +13,13 @@ from dreamrand.controller import (
     LeaderBoardEntry,
     act,
     cma_minimize,
+    cma_optimize,
     evaluate_real,
     load_controller,
     save_controller,
 )
 from dreamrand.controller import _stack_controllers  # lane-tiling reference test
+from dreamrand.dream import DreamConfig, rollout_batch
 from dreamrand.envs import DodgeWorld
 from dreamrand.lstm import lstm_step
 from dreamrand.numerics import rng_stream
@@ -112,6 +115,53 @@ class TestStackControllers:
                 want_w[m * n_trials + t] = flat[: action_dim * feature_dim].reshape(action_dim, feature_dim)
                 want_b[m * n_trials + t] = flat[action_dim * feature_dim :]
         assert np.array_equal(W, want_w) and np.array_equal(B, want_b)
+
+
+class TestCmaOptimize:
+    """``cma_optimize`` on a tiny dream: n_pop = 4, n_trials = 2, two
+    generations, a leader-board entry after each."""
+
+    cma_cfg = CmaConfig(n_pop=4, n_trials=2, generations=2, eval_cadence=1, seed=5)
+
+    def _dream(self):
+        model = WorldModelParams.init(3, 2, 6, 1, rng_stream(110, "cma-model"))
+        model.b_done[:] = -2.0  # episodes of a few steps, some of them truncated
+        starts = rng_stream(111, "cma-starts").normal(size=(4, 3))
+        return DreamConfig([model], p_infer=0.1, policy="step", max_ep_len=15), starts
+
+    def test_same_seed_same_result(self):
+        cfg, starts = self._dream()
+        a, b = (cma_optimize(cfg, self.cma_cfg, starts) for _ in range(2))
+        assert a.gen_stats == b.gen_stats
+        assert [e.generation for e in a.leader_board.entries] == [1, 2]
+        for ea, eb in zip(a.leader_board.entries, b.leader_board.entries):
+            assert (ea.generation, ea.dream_mean, ea.dream_std) == (eb.generation, eb.dream_mean, eb.dream_std)
+            assert np.array_equal(ea.controller.to_flat(), eb.controller.to_flat())
+        assert np.array_equal(a.best_controller.to_flat(), b.best_controller.to_flat())
+
+    def test_generation_one_fitness_independent_of_lane_order(self):
+        # Generation 1 recomputed by hand: the same population and the same
+        # (seed, "dream", gen, member, trial) streams, with the lanes reversed.
+        cfg, starts = self._dream()
+        res = cma_optimize(cfg, self.cma_cfg, starts)
+        model, c = cfg.model, self.cma_cfg
+        feature_dim = model.n + model.hidden_dim
+        es = CmaEs(np.zeros(model.action_dim * (feature_dim + 1)), c.sigma0, c.n_pop, rng_stream(c.seed, "cma-ask"))
+        W, B = _stack_controllers(es.ask(), model.action_dim, feature_dim, c.n_trials)
+        lanes = [(m, t) for m in range(c.n_pop) for t in range(c.n_trials)][::-1]
+        rngs = [rng_stream(c.seed, "dream", 1, m, t) for m, t in lanes]
+        out = rollout_batch(cfg, W[::-1], B[::-1], rngs, starts)
+        fitness = out["returns"][::-1].reshape(c.n_pop, c.n_trials).mean(axis=1)
+        stats = res.gen_stats[0]
+        assert stats["best_fitness"] == pytest.approx(fitness.max(), rel=0.0, abs=1e-9)
+        assert stats["mean_fitness"] == pytest.approx(fitness.mean(), rel=0.0, abs=1e-9)
+        assert stats["env_steps"] == int(out["steps"].sum())
+        assert stats["masks_sampled"] == out["masks_sampled"]
+
+    def test_empty_start_pool_rejected(self):
+        cfg, _ = self._dream()
+        with pytest.raises(ValueError, match="starts"):
+            cma_optimize(cfg, self.cma_cfg, np.zeros((0, 3)))
 
 
 class TestBadDimensions:

@@ -8,7 +8,6 @@ from dreamrand.dream import (
     DreamDoneError,
     DreamEnv,
     RandomizationPolicy,
-    ZInit,
     mask_hash,
     rollout_batch,
     write_trace,
@@ -16,6 +15,9 @@ from dreamrand.dream import (
 from dreamrand.numerics import rng_stream
 from dreamrand.world_model import WorldModelParams
 from reference_rollout import reference_rollout_batch
+
+# The start pool every dream in this module draws its initial latents from.
+STARTS = rng_stream(73, "starts").normal(size=(5, 3))
 
 
 def make_model(seed=0, n=3, k=2, d=10, action_dim=2, done_logit=None, p_train=0.05):
@@ -28,7 +30,6 @@ def make_model(seed=0, n=3, k=2, d=10, action_dim=2, done_logit=None, p_train=0.
 
 
 def cfg_for(model, **kw):
-    kw.setdefault("z_init", ZInit.STANDARD_NORMAL)
     kw.setdefault("max_ep_len", 50)
     ensemble = kw.pop("ensemble", [model])
     return DreamConfig(ensemble, **kw)
@@ -80,33 +81,35 @@ class TestConfigValidation:
 
 class TestResetAndStep:
     def test_reset_returns_zero_hidden(self):
-        env = DreamEnv(cfg_for(make_model()))
+        env = DreamEnv(cfg_for(make_model()), STARTS)
         _, h = env.reset(rng_stream(1, "reset"))
         assert np.all(h == 0.0)
         assert np.all(env.state.c == 0.0)
 
-    def test_standard_normal_init_moments(self):
-        env = DreamEnv(cfg_for(make_model()))
-        rng = rng_stream(2, "init-moments")
-        draws = np.stack([env.reset(rng)[0] for _ in range(10_000)])
-        assert np.all(np.abs(draws.mean(axis=0)) < 4.0 / np.sqrt(10_000))
-        assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.1)
-
     def test_dataset_starts_membership(self):
         starts = rng_stream(3, "starts").normal(size=(7, 3))
-        env = DreamEnv(cfg_for(make_model(), z_init=ZInit.DATASET_STARTS), starts=starts)
+        env = DreamEnv(cfg_for(make_model()), starts)
         rng = rng_stream(4, "starts-draw")
         for _ in range(50):
             z, _ = env.reset(rng)
             assert any(np.array_equal(z, s) for s in starts)
 
     def test_dataset_starts_empty_pool_rejected(self):
-        env = DreamEnv(cfg_for(make_model(), z_init=ZInit.DATASET_STARTS))
-        with pytest.raises(ValueError):
-            env.reset(rng_stream(5, "no-starts"))
+        # Refused when the dream is built, not at its first reset.
+        for empty in (np.zeros((0, 3)), []):
+            with pytest.raises(ValueError, match="starts"):
+                DreamEnv(cfg_for(make_model()), empty)
+
+    def test_dataset_starts_integer_pool_as_float(self):
+        starts = np.arange(6).reshape(2, 3)
+        env = DreamEnv(cfg_for(make_model()), starts)
+        assert env.starts.dtype == np.float64
+        z, _ = env.reset(rng_stream(5, "int-starts"))
+        assert z.dtype == np.float64
+        assert any(np.array_equal(z, s) for s in starts)
 
     def test_step_after_done_rejected(self):
-        env = DreamEnv(cfg_for(make_model(done_logit=50.0)))
+        env = DreamEnv(cfg_for(make_model(done_logit=50.0)), STARTS)
         rng = rng_stream(6, "done")
         env.reset(rng)
         _, _, done, _ = env.step(np.zeros(2), rng)
@@ -115,14 +118,14 @@ class TestResetAndStep:
             env.step(np.zeros(2), rng)
 
     def test_episode_never_exceeds_max_len(self):
-        env = DreamEnv(cfg_for(make_model(done_logit=-50.0), max_ep_len=17))
+        env = DreamEnv(cfg_for(make_model(done_logit=-50.0), max_ep_len=17), STARTS)
         rng = rng_stream(7, "maxlen")
         _, steps = run_episode(env, rng)
         assert steps == 17
         assert env.state.truncated
 
     def test_termination_frequency_matches_dhat(self):
-        env = DreamEnv(cfg_for(make_model(done_logit=0.0), max_ep_len=10_000, p_infer=0.0, policy="off"))
+        env = DreamEnv(cfg_for(make_model(done_logit=0.0), max_ep_len=10_000, p_infer=0.0, policy="off"), STARTS)
         rng = rng_stream(8, "bern")
         lengths = []
         for _ in range(200):
@@ -138,8 +141,8 @@ class TestResetAndStep:
 
     def test_off_policy_matches_maskfree_rollout(self):
         model = make_model(9)
-        env_off = DreamEnv(cfg_for(model, p_infer=0.0, policy="off"))
-        env_step = DreamEnv(cfg_for(model, p_infer=0.0, policy="step"))
+        env_off = DreamEnv(cfg_for(model, p_infer=0.0, policy="off"), STARTS)
+        env_step = DreamEnv(cfg_for(model, p_infer=0.0, policy="step"), STARTS)
         a = np.array([0.3, -0.2])
         r1 = []
         rng = rng_stream(10, "off")
@@ -159,7 +162,7 @@ class TestResetAndStep:
     def test_mask_counting_by_policy(self):
         model = make_model(11, done_logit=-50.0)
         for policy, expected in (("off", 0), ("episode", 1), ("step", 20)):
-            env = DreamEnv(cfg_for(model, p_infer=0.1, policy=policy, max_ep_len=20))
+            env = DreamEnv(cfg_for(model, p_infer=0.1, policy=policy, max_ep_len=20), STARTS)
             rng = rng_stream(12, "count", policy)
             run_episode(env, rng)
             assert env.masks_sampled == expected
@@ -170,7 +173,7 @@ class TestResetAndStep:
         for pair in range(100):
             seqs = []
             for side in range(2):
-                env = DreamEnv(cfg_for(model, p_infer=0.1, policy="step", max_ep_len=8))
+                env = DreamEnv(cfg_for(model, p_infer=0.1, policy="step", max_ep_len=8), STARTS)
                 env.start_trace()
                 run_episode(env, rng_stream(14, "disjoint", pair, side))
                 seqs.append(tuple(rec["mask"] for rec in env.trace))
@@ -181,7 +184,7 @@ class TestResetAndStep:
         import copy
 
         model = make_model(15)
-        env = DreamEnv(cfg_for(model, p_infer=0.2, policy="step"))
+        env = DreamEnv(cfg_for(model, p_infer=0.2, policy="step"), STARTS)
         env.reset(rng_stream(16, "pure"))
         snapshot = copy.deepcopy(env.state)
         out1 = env.step(np.array([0.1, 0.2]), rng_stream(17, "pure-step"))
@@ -195,8 +198,8 @@ class TestMcStep:
     def test_identity_with_step_at_p_zero(self, mc):
         model = make_model(20)
         a = np.array([0.5, -0.5])
-        env_plain = DreamEnv(cfg_for(model, p_infer=0.0, policy="step"))
-        env_mc = DreamEnv(cfg_for(model, p_infer=0.0, policy="step", mc_samples=mc))
+        env_plain = DreamEnv(cfg_for(model, p_infer=0.0, policy="step"), STARTS)
+        env_mc = DreamEnv(cfg_for(model, p_infer=0.0, policy="step", mc_samples=mc), STARTS)
         rng1, rng2 = rng_stream(21, "mc"), rng_stream(21, "mc")
         z1, _ = env_plain.reset(rng1)
         z2, _ = env_mc.reset(rng2)
@@ -219,7 +222,7 @@ class TestMcStep:
             cfg = cfg_for(model, p_infer=0.2, mc_samples=mc, max_ep_len=3)
             vals = []
             for rep in range(600):
-                env = DreamEnv(cfg)
+                env = DreamEnv(cfg, STARTS)
                 env.start_trace()
                 env.reset(rng_stream(25, "mc-var", "reset"))  # same start every rep
                 env.step(a, rng_stream(25, "mc-var", mc, rep))
@@ -235,8 +238,8 @@ class TestVariants:
         model = make_model(30)
         twin = model.copy()
         a = np.array([0.1, -0.1])
-        env_single = DreamEnv(cfg_for(model, p_infer=0.0, policy="step"))
-        env_pair = DreamEnv(cfg_for(model, ensemble=[model, twin], p_infer=0.0, policy="step"))
+        env_single = DreamEnv(cfg_for(model, p_infer=0.0, policy="step"), STARTS)
+        env_pair = DreamEnv(cfg_for(model, ensemble=[model, twin], p_infer=0.0, policy="step"), STARTS)
         rng1, rng2 = rng_stream(31, "ens"), rng_stream(31, "ens")
         z1 = env_single.reset(rng1)[0]
         z2 = env_pair.reset(rng2)[0]
@@ -248,7 +251,7 @@ class TestVariants:
         cfg_e = cfg_for(m1, ensemble=[m1, m2], p_infer=0.0, policy="step", max_ep_len=10)
         cfg_s = cfg_for(m1, p_infer=0.0, policy="off", max_ep_len=10)
         a = np.array([0.4, 0.4])
-        env_e, env_s = DreamEnv(cfg_e), DreamEnv(cfg_s)
+        env_e, env_s = DreamEnv(cfg_e, STARTS), DreamEnv(cfg_s, STARTS)
         env_e.reset(rng_stream(34, "ens2"))
         env_s.reset(rng_stream(34, "ens2"))
         ze = [env_e.step(a, rng_stream(35, "e", t))[0] for t in range(5)]
@@ -258,8 +261,8 @@ class TestVariants:
     def test_noise_sigma_zero_identical_to_plain(self):
         model = make_model(36)
         a = np.array([0.0, 0.0])
-        env_a = DreamEnv(cfg_for(model, p_infer=0.0, policy="off", noise_sigma=0.0))
-        env_b = DreamEnv(cfg_for(model, p_infer=0.0, policy="off"))
+        env_a = DreamEnv(cfg_for(model, p_infer=0.0, policy="off", noise_sigma=0.0), STARTS)
+        env_b = DreamEnv(cfg_for(model, p_infer=0.0, policy="off"), STARTS)
         r1, r2 = rng_stream(37, "noise"), rng_stream(37, "noise")
         env_a.reset(r1)
         env_b.reset(r2)
@@ -279,7 +282,7 @@ class TestVariants:
         a = np.array([0.1, 0.1])
         deltas = []
         for rep in range(4000):
-            noisy, plain = DreamEnv(cfg_noisy), DreamEnv(cfg_plain)
+            noisy, plain = DreamEnv(cfg_noisy, STARTS), DreamEnv(cfg_plain, STARTS)
             noisy.reset(rng_stream(39, "noise-std", rep))
             plain.reset(rng_stream(39, "noise-std", rep))
             z_noisy = noisy.step(a, rng_stream(39, "noise-step", rep))[0]
@@ -291,7 +294,7 @@ class TestVariants:
 
 class TestTrace:
     def test_trace_records_and_writes(self, tmp_path):
-        env = DreamEnv(cfg_for(make_model(40, done_logit=-50.0), p_infer=0.1, policy="step", max_ep_len=6))
+        env = DreamEnv(cfg_for(make_model(40, done_logit=-50.0), p_infer=0.1, policy="step", max_ep_len=6), STARTS)
         env.start_trace()
         rng = rng_stream(41, "trace")
         run_episode(env, rng, action=np.array([0.1, 0.2]))
@@ -336,11 +339,9 @@ class TestBatchedRollout:
         L = 4
         f_dim = model.n + model.hidden_dim
         W, b = self._lane_setup(model, L, f_dim)
-        out = rollout_batch(
-            cfg, W, b, [rng_stream(52, "lane", i) for i in range(L)]
-        )
+        out = rollout_batch(cfg, W, b, [rng_stream(52, "lane", i) for i in range(L)], STARTS)
         for lane in range(L):
-            env = DreamEnv(cfg_for(model, max_ep_len=12, **kw))
+            env = DreamEnv(cfg_for(model, max_ep_len=12, **kw), STARTS)
             rng = rng_stream(52, "lane", lane)
             z, h = env.reset(rng)
             total, steps, done = 0.0, 0, False
@@ -359,8 +360,8 @@ class TestBatchedRollout:
         cfg = cfg_for(model, max_ep_len=10, p_infer=0.1, policy="step")
         L = 6
         W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
-        a = rollout_batch(cfg, W, b, [rng_stream(54, "r", i) for i in range(L)])
-        b_ = rollout_batch(cfg, W, b, [rng_stream(54, "r", i) for i in range(L)])
+        a = rollout_batch(cfg, W, b, [rng_stream(54, "r", i) for i in range(L)], STARTS)
+        b_ = rollout_batch(cfg, W, b, [rng_stream(54, "r", i) for i in range(L)], STARTS)
         assert np.array_equal(a["returns"], b_["returns"])
         assert a["masks_sampled"] == b_["masks_sampled"]
 
@@ -369,11 +370,11 @@ class TestBatchedRollout:
         L = 5
         W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
         lanes = lambda: [rng_stream(56, "acct", i) for i in range(L)]
-        step_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="step", max_ep_len=9), W, b, lanes())
+        step_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="step", max_ep_len=9), W, b, lanes(), STARTS)
         assert step_out["masks_sampled"] == int(step_out["steps"].sum()) == L * 9
-        ep_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="episode", max_ep_len=9), W, b, lanes())
+        ep_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="episode", max_ep_len=9), W, b, lanes(), STARTS)
         assert ep_out["masks_sampled"] == L
-        off_out = rollout_batch(cfg_for(model, p_infer=0.0, policy="off", max_ep_len=9), W, b, lanes())
+        off_out = rollout_batch(cfg_for(model, p_infer=0.0, policy="off", max_ep_len=9), W, b, lanes(), STARTS)
         assert off_out["masks_sampled"] == 0
 
     @pytest.mark.parametrize(
@@ -397,10 +398,10 @@ class TestBatchedRollout:
         cfg = cfg_for(model, p_infer=0.0, max_ep_len=9, **kw)
         L = 4
         W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
-        out = rollout_batch(cfg, W, b, [rng_stream(57, "p0", i) for i in range(L)])
+        out = rollout_batch(cfg, W, b, [rng_stream(57, "p0", i) for i in range(L)], STARTS)
         assert int(out["steps"].sum()) == L * 9
         assert out["masks_sampled"] == 0
-        env = DreamEnv(cfg)
+        env = DreamEnv(cfg, STARTS)
         run_episode(env, rng_stream(57, "p0-env"))
         assert env.state.t == 9
         assert env.masks_sampled == 0
@@ -415,8 +416,8 @@ class TestBatchedRollout:
         rng = rng_stream(59, "wc")
         W = rng.normal(size=(L, model.action_dim, f_zhc)) * 0.3
         b = rng.normal(size=(L, model.action_dim)) * 0.1
-        out_zhc = rollout_batch(cfg, W, b, rngs(), include_c=True)
-        out_zh = rollout_batch(cfg, W[:, :, :f_zh], b, rngs(), include_c=False)
+        out_zhc = rollout_batch(cfg, W, b, rngs(), STARTS, include_c=True)
+        out_zh = rollout_batch(cfg, W[:, :, :f_zh], b, rngs(), STARTS, include_c=False)
         assert not np.allclose(out_zhc["returns"], out_zh["returns"])
 
 
@@ -439,15 +440,14 @@ class TestReferenceOracle:
             {"p_infer": 0.2, "mc_samples": 3},
             {"p_infer": 0.2, "mc_samples": 1},
             {"p_infer": 0.0, "policy": "off", "noise_sigma": 0.3},
+            {"p_infer": 0.0, "policy": "step", "members": 2},
             {"p_infer": 0.0, "policy": "step", "members": 3},
             {"p_infer": 0.0, "policy": "episode", "members": 3},
             {"p_infer": 0.1, "policy": "step", "include_c": True},
-            {"p_infer": 0.1, "policy": "step", "z_init": ZInit.DATASET_STARTS},
-            {"p_infer": 0.2, "mc_samples": 3, "z_init": ZInit.DATASET_STARTS, "include_c": True},
-            {"p_infer": 0.1, "policy": "step", "rescale": "train"},
-            {"p_infer": 0.0, "policy": "step", "members": 2, "rescale": "train"},
+            {"p_infer": 0.1, "policy": "episode", "include_c": True},
+            {"p_infer": 0.2, "mc_samples": 3, "include_c": True},
         ],
-        ids=lambda kw: "-".join(f"{k}={v.value if hasattr(v, 'value') else v}" for k, v in kw.items()),
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
     @pytest.mark.parametrize("L,max_ep_len,done_logit", [(1, 9, None), (24, 40, -1.5), (40, 6, -50.0)])
     def test_bit_identical_to_reference(self, kw, L, max_ep_len, done_logit):
@@ -459,11 +459,10 @@ class TestReferenceOracle:
             kw["ensemble"] = [model] + [make_model(72 + i, done_logit=done_logit) for i in range(members - 1)]
         cfg = cfg_for(model, max_ep_len=max_ep_len, **kw)
         W, b = _controllers(model, L, include_c)
-        starts = rng_stream(73, "starts").normal(size=(5, model.n))
         want_rngs = [rng_stream(74, "oracle", i) for i in range(L)]
         got_rngs = [rng_stream(74, "oracle", i) for i in range(L)]
-        want = reference_rollout_batch(cfg, W, b, want_rngs, starts=starts, include_c=include_c)
-        got = rollout_batch(cfg, W, b, got_rngs, starts=starts, include_c=include_c)
+        want = reference_rollout_batch(cfg, W, b, want_rngs, STARTS, include_c=include_c)
+        got = rollout_batch(cfg, W, b, got_rngs, STARTS, include_c=include_c)
         for key in ("returns", "steps", "truncated"):
             assert np.array_equal(got[key], want[key]), key
         assert got["masks_sampled"] == want["masks_sampled"]
@@ -484,13 +483,13 @@ class TestBatchProperties:
         cfg = cfg_for(model, max_ep_len=30, **kw)
         L = 12
         W, b = _controllers(model, L)
-        full = rollout_batch(cfg, W, b, [rng_stream(81, "subset", i) for i in range(L)])
+        full = rollout_batch(cfg, W, b, [rng_stream(81, "subset", i) for i in range(L)], STARTS)
         subset = np.array([1, 4, 5, 10])
-        part = rollout_batch(cfg, W[subset], b[subset], [rng_stream(81, "subset", i) for i in subset])
+        part = rollout_batch(cfg, W[subset], b[subset], [rng_stream(81, "subset", i) for i in subset], STARTS)
         assert np.array_equal(part["steps"], full["steps"][subset])
         assert np.allclose(part["returns"], full["returns"][subset], rtol=0.0, atol=1e-9)
         for lane in subset:
-            alone = rollout_batch(cfg, W[lane : lane + 1], b[lane : lane + 1], [rng_stream(81, "subset", lane)])
+            alone = rollout_batch(cfg, W[lane : lane + 1], b[lane : lane + 1], [rng_stream(81, "subset", lane)], STARTS)
             assert alone["steps"][0] == full["steps"][lane]
             assert alone["returns"][0] == pytest.approx(full["returns"][lane], rel=0.0, abs=1e-9)
 
@@ -500,8 +499,8 @@ class TestBatchProperties:
         L = 8
         W, b = _controllers(model, L)
         perm = rng_stream(83, "perm").permutation(L)
-        out = rollout_batch(cfg, W, b, [rng_stream(84, "order", i) for i in range(L)])
-        shuffled = rollout_batch(cfg, W[perm], b[perm], [rng_stream(84, "order", i) for i in perm])
+        out = rollout_batch(cfg, W, b, [rng_stream(84, "order", i) for i in range(L)], STARTS)
+        shuffled = rollout_batch(cfg, W[perm], b[perm], [rng_stream(84, "order", i) for i in perm], STARTS)
         assert np.array_equal(shuffled["steps"], out["steps"][perm])
         assert np.allclose(shuffled["returns"], out["returns"][perm], rtol=0.0, atol=1e-9)
 
@@ -516,31 +515,35 @@ class TestRolloutBoundaries:
         model, W, b, rngs = self._args()
         W_big, _ = _controllers(model, 4)
         with pytest.raises(ValueError, match="controller_w"):
-            rollout_batch(cfg_for(model), W_big, b, rngs)
+            rollout_batch(cfg_for(model), W_big, b, rngs, STARTS)
 
     def test_controller_w_feature_width_rejected(self):
         model, W, b, rngs = self._args()
         with pytest.raises(ValueError, match="controller_w"):
-            rollout_batch(cfg_for(model), W[:, :, :-1], b, rngs)
+            rollout_batch(cfg_for(model), W[:, :, :-1], b, rngs, STARTS)
 
     def test_controller_w_without_c_rejected_when_include_c(self):
         model, W, b, rngs = self._args()
         with pytest.raises(ValueError, match="controller_w"):
-            rollout_batch(cfg_for(model), W, b, rngs, include_c=True)
+            rollout_batch(cfg_for(model), W, b, rngs, STARTS, include_c=True)
 
     def test_controller_b_shape_rejected(self):
         model, W, b, rngs = self._args()
         with pytest.raises(ValueError, match="controller_b"):
-            rollout_batch(cfg_for(model), W, b[:, :1], rngs)
+            rollout_batch(cfg_for(model), W, b[:, :1], rngs, STARTS)
 
     def test_no_lanes_rejected(self):
         model, W, b, _ = self._args()
         with pytest.raises(ValueError, match="lane"):
-            rollout_batch(cfg_for(model), W[:0], b[:0], [])
+            rollout_batch(cfg_for(model), W[:0], b[:0], [], STARTS)
 
-    @pytest.mark.parametrize("shape", [(5,), (5, 4), (2, 5, 3)])
+    @pytest.mark.parametrize("shape", [(5,), (5, 4), (2, 5, 3), (0, 3)])
     def test_starts_shape_rejected(self, shape):
+        # An empty or misshapen start pool is refused by the batch and by
+        # the one-lane view alike.
         model, W, b, rngs = self._args()
         starts = np.zeros(shape)
         with pytest.raises(ValueError, match="starts"):
-            rollout_batch(cfg_for(model, z_init=ZInit.DATASET_STARTS), W, b, rngs, starts=starts)
+            rollout_batch(cfg_for(model), W, b, rngs, starts)
+        with pytest.raises(ValueError, match="starts"):
+            DreamEnv(cfg_for(model), starts)

@@ -265,11 +265,3 @@ class TestTrajectoryValidation:
         z[1, 0] = np.inf
         with pytest.raises(ValueError):
             Trajectory(z, np.zeros((2, 1)), np.zeros(2), np.array([False, True]))
-
-    def test_tuples_view(self):
-        z = np.arange(6, dtype=float).reshape(3, 2)
-        traj = Trajectory(z, np.ones((2, 1)), np.array([1.0, 2.0]), np.array([False, True]))
-        tuples = traj.tuples()
-        assert len(tuples) == 2
-        assert np.array_equal(tuples[0][0], z[0])
-        assert tuples[1][3] is True

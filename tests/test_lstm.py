@@ -111,11 +111,6 @@ class TestMaskSampling:
         assert kept.any() and not kept.all()
         np.testing.assert_allclose(sx[:, :6][kept], 1.0 / 0.8)
 
-    def test_scale_rate_override(self):
-        rng = rng_stream(14, "mask-rate")
-        _, sh = sample_mask_set(0.5, 6, 6, rng=rng, scale_rate=0.0)
-        assert set(np.unique(sh)) <= {0.0, 1.0}
-
     def test_batch_masks_distinct(self):
         # Mask collision between sequences in a batch is vanishingly rare.
         rng = rng_stream(15, "mask-distinct")
@@ -128,15 +123,15 @@ class TestMaskSampling:
 
 class TestMasksFromUniforms:
     @pytest.mark.parametrize(
-        "p,action_dims,scale_rate",
-        [(0.3, (4, 5), None), (0.05, (), None), (0.2, (5,), 0.0), (0.1, (4, 5), 0.4), (0.0, (4, 5), None), (0.0, (5,), 0.25)],
+        "p,action_dims",
+        [(0.3, (4, 5)), (0.05, ()), (0.2, (5,)), (0.1, (4, 5)), (0.0, (4, 5)), (0.0, (5,))],
     )
-    def test_equals_sequential_sample_mask_set(self, p, action_dims, scale_rate):
+    def test_equals_sequential_sample_mask_set(self, p, action_dims):
         r, d, count = 6, 7, 5
         rng_seq, rng_block = rng_stream(60, "helper", str(p)), rng_stream(60, "helper", str(p))
-        masks = [sample_mask_set(p, r, d, action_dims=action_dims, rng=rng_seq, scale_rate=scale_rate) for _ in range(count)]
+        masks = [sample_mask_set(p, r, d, action_dims=action_dims, rng=rng_seq) for _ in range(count)]
         u = rng_block.random((count, mask_uniform_count(p, r, d)))
-        sx, sh = masks_from_uniforms(u, p, r, d, action_dims, scale_rate)
+        sx, sh = masks_from_uniforms(u, p, r, d, action_dims)
         if p == 0.0:
             assert sx is None and sh is None
             assert all(m == (None, None) for m in masks)
@@ -186,8 +181,9 @@ class TestLstmStep:
         h, c = lstm_step(w, x, h0, c0)
         h1, c1 = lstm_step(w, x, h0, c0, *_ones_masks(3, 4, 5))
         assert np.array_equal(h, h1) and np.array_equal(c, c1)
-        hs, _ = lstm_forward(w, x[None], h0=h0, c0=c0)
-        np.testing.assert_allclose(h, hs[0], atol=1e-12)
+        zeros = np.zeros((3, 5))
+        hs, _ = lstm_forward(w, x[None])
+        np.testing.assert_allclose(lstm_step(w, x, zeros, zeros)[0], hs[0], atol=1e-12)
 
     def test_matches_straight_line_reference(self):
         rng = rng_stream(22, "step-ref")
@@ -265,7 +261,7 @@ class TestBptt:
     def test_zero_upstream_zero_grads(self):
         w, xs, sx, sh, _ = self._loss_pieces(31, 0.3)
         g = _bptt(w, xs, sx, sh, np.zeros((5, w.hidden_dim)))
-        for a in (g.w_x, g.w_h, g.b, g.xs, g.h0, g.c0):
+        for a in (g.w_x, g.w_h, g.b):
             assert np.all(a == 0.0)
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
@@ -282,17 +278,6 @@ class TestBptt:
             err = np.abs(got - want)
             tol = 1e-4 * np.maximum(np.abs(want), np.abs(got)) + 1e-8
             assert np.all(err <= tol)
-
-    def test_input_gradient_matches_finite_differences(self):
-        w, xs, sx, sh, upstream = self._loss_pieces(33, 0.5)
-
-        def loss_of(flat_xs):
-            hs, _ = lstm_forward(w, flat_xs.reshape(xs.shape)[:, None, :], sx[None], sh[None])
-            return float(np.sum(hs[:, 0, :] * upstream))
-
-        numeric = finite_diff_grad(loss_of, xs.ravel()).reshape(xs.shape)
-        g = _bptt(w, xs, sx, sh, upstream)
-        np.testing.assert_allclose(g.xs[:, 0, :], numeric, atol=1e-7, rtol=1e-4)
 
     def test_dropped_input_column_gets_zero_grad(self):
         rng = rng_stream(34, "bptt-drop")
@@ -323,7 +308,7 @@ class TestBptt:
         assert np.array_equal(hs_none, hs_ones)
         g_none = lstm_backward(w, cache_none, upstream)
         g_ones = lstm_backward(w, cache_ones, upstream)
-        for name in ("w_x", "w_h", "b", "xs", "h0", "c0"):
+        for name in ("w_x", "w_h", "b"):
             assert np.array_equal(getattr(g_none, name), getattr(g_ones, name)), name
 
 
@@ -338,7 +323,7 @@ class TestBatchedPasses:
 
     T, B, d, r = 4, 3, 5, 4
 
-    def _case(self, seed, masks, states):
+    def _case(self, seed, masks):
         T, B, d, r = self.T, self.B, self.d, self.r
         rng = rng_stream(seed, "batched")
         w = init_weights(d, r, rng)
@@ -347,33 +332,20 @@ class TestBatchedPasses:
         count = mask_uniform_count(0.4, r, d)
         sx, sh = masks_from_uniforms(rng.random(lead + (count,)), 0.4, r, d, (r - 1,))
         upstream = rng.normal(size=(T, B, d))
-        if states:
-            h0, c0 = rng.normal(size=(B, d)) * 0.5, rng.normal(size=(B, d)) * 0.5
-            d_h_final, d_c_final = rng.normal(size=(B, d)), rng.normal(size=(B, d))
-        else:
-            h0 = c0 = d_h_final = d_c_final = None
-        return w, xs, sx, sh, upstream, h0, c0, d_h_final, d_c_final
+        return w, xs, sx, sh, upstream
 
-    @pytest.mark.parametrize("masks,states", [("sequence", False), ("step", False), ("sequence", True)])
-    def test_matches_finite_differences(self, masks, states):
-        w, xs, sx, sh, upstream, h0, c0, dhf, dcf = self._case(80, masks, states)
-        zeros = np.zeros((self.B, self.d))
-        h0_, c0_ = (zeros, zeros) if h0 is None else (h0, c0)
+    @pytest.mark.parametrize("masks", ["sequence", "step"])
+    def test_matches_finite_differences(self, masks):
+        w, xs, sx, sh, upstream = self._case(80, masks)
 
-        def loss(w2=w, xs2=xs, h02=h0_, c02=c0_):
-            hs, cache = lstm_forward(w2, xs2, sx, sh, h02, c02)
-            total = float(np.sum(hs * upstream))
-            if dhf is not None:
-                total += float(np.sum(hs[-1] * dhf) + np.sum(cache.cs[-1] * dcf))
-            return total
+        def loss(w2):
+            hs, _ = lstm_forward(w2, xs, sx, sh)
+            return float(np.sum(hs * upstream))
 
-        _, cache = lstm_forward(w, xs, sx, sh, h0, c0)
-        g = lstm_backward(w, cache, upstream, dhf, dcf)
-        numeric = weight_fd_grads(lambda w2: loss(w2=w2), w)
-        numeric.append(finite_diff_grad(lambda v: loss(xs2=v), xs))
-        numeric.append(finite_diff_grad(lambda v: loss(h02=v), h0_))
-        numeric.append(finite_diff_grad(lambda v: loss(c02=v), c0_))
-        for name, got, want in zip(("w_x", "w_h", "b", "xs", "h0", "c0"), (g.w_x, g.w_h, g.b, g.xs, g.h0, g.c0), numeric):
+        _, cache = lstm_forward(w, xs, sx, sh)
+        g = lstm_backward(w, cache, upstream)
+        numeric = weight_fd_grads(loss, w)
+        for name, got, want in zip(("w_x", "w_h", "b"), (g.w_x, g.w_h, g.b), numeric):
             assert got.shape == want.shape, name
             assert _gradcheck_ok(got, want), name
 
@@ -383,16 +355,15 @@ class TestBatchedPasses:
         w = init_weights(d, r, rng)
         xs = rng.normal(size=(T, B, r))
         sx, sh = masks_from_uniforms(rng.random((T, B, mask_uniform_count(0.3, r, d))), 0.3, r, d, (r - 1,))
-        h0, c0 = rng.normal(size=(B, d)) * 0.5, rng.normal(size=(B, d)) * 0.5
-        hs, cache = lstm_forward(w, xs, sx, sh, h0, c0)
-        h, c = h0, c0
+        hs, cache = lstm_forward(w, xs, sx, sh)
+        h, c = np.zeros((B, d)), np.zeros((B, d))
         for t in range(T):
             h, c = lstm_step(w, xs[t], h, c, sx[t], sh[t])
             np.testing.assert_allclose(hs[t], h, rtol=0, atol=1e-12)
             np.testing.assert_allclose(cache.cs[t + 1], c, rtol=0, atol=1e-12)
 
     def test_mask_shape_mismatch_rejected(self):
-        w, xs, sx, sh, *_ = self._case(82, "step", False)
+        w, xs, sx, sh, _ = self._case(82, "step")
         with pytest.raises(ValueError):
             lstm_forward(w, xs[:-1], sx, sh)
         with pytest.raises(ValueError):

@@ -53,10 +53,10 @@ class TestTrainDynamics:
         cfg = TrainConfig(hidden_size=8, epochs=2, seq_len=16, batch_size=4, seed=9, p_train=0.3)
         seen = []
 
-        def spy(weights, xs, sx=None, sh=None, *rest):
+        def spy(weights, xs, sx=None, sh=None):
             if sx is not None:
                 seen.append((xs.shape[1], sx, sh))
-            return lstm_forward(weights, xs, sx, sh, *rest)
+            return lstm_forward(weights, xs, sx, sh)
 
         monkeypatch.setattr(training, "lstm_forward", spy)
         params, _ = train_dynamics(ds, cfg)
@@ -193,13 +193,3 @@ class TestEvaluateLoss:
             evaluate_loss(params, track_dataset, 1.0)
         with pytest.raises(ValueError):
             evaluate_loss(params, track_dataset, 0.1, n_mask_samples=0)
-        with pytest.raises(ValueError):
-            evaluate_loss(params, track_dataset, 0.1, split="nope")
-
-    def test_rescale_convention_switch(self, track_dataset, trained_track_model):
-        # The inference rescaling convention is exposed as a switch; the
-        # conventions genuinely differ at p > 0.
-        params, _ = trained_track_model
-        active = evaluate_loss(params, track_dataset, 0.3, n_mask_samples=2, seed=7)
-        unscaled = evaluate_loss(params, track_dataset, 0.3, n_mask_samples=2, seed=7, scale_rate=0.0)
-        assert active.mean != unscaled.mean
