@@ -27,7 +27,6 @@ __all__ = [
     "act",
     "CmaConfig",
     "CmaEs",
-    "cma_minimize",
     "LeaderBoard",
     "LeaderBoardEntry",
     "CmaResult",
@@ -210,36 +209,6 @@ class CmaEs:
             + self.cmu * rank_mu
         )
         self.sigma *= float(np.exp((self.cs / self.damps) * (ps_norm / self.chi_n - 1.0)))
-
-
-@dataclass
-class CmaMinimizeResult:
-    x: np.ndarray
-    f: float
-    evaluations: int
-    es: "CmaEs"
-
-
-def cma_minimize(f, x0, sigma0=0.5, popsize=None, max_evals=20_000, ftarget=None, seed=0) -> CmaMinimizeResult:
-    """Convenience minimization loop around CmaEs."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = len(x0)
-    popsize = popsize or max(4, 4 + int(3 * np.log(n)))
-    es = CmaEs(x0, sigma0, popsize, rng_stream(seed, "cma"))
-    best_x, best_f = x0.copy(), float(f(x0))
-    evals = 1
-    while evals < max_evals:
-        xs = es.ask()
-        costs = np.array([float(f(x)) for x in xs])
-        evals += len(xs)
-        es.tell(xs, costs)
-        i = int(np.argmin(costs))
-        if costs[i] < best_f:
-            best_f = float(costs[i])
-            best_x = xs[i].copy()
-        if ftarget is not None and best_f <= ftarget:
-            break
-    return CmaMinimizeResult(best_x, best_f, evals, es)
 
 
 @dataclass

@@ -13,15 +13,13 @@ explicit ensembles (the active member is resampled per step or per episode,
 hidden state carried across members unchanged).
 
 Every episode starts from zero hidden and cell states and a latent picked
-uniformly from a start pool of observed initial states, the (m, n) ``starts``
-both drivers require. ``rollout_batch`` runs one episode per lane in
-lockstep; ``DreamEnv`` is its one-lane view. Both make their draws through
-``_reset_draws`` and ``_step_draws`` and step through ``_dream_step``.
+uniformly from a start pool of observed initial states, the (m, n)
+``starts``. ``rollout_batch`` runs one episode per lane in lockstep: it makes
+each lane's draws through ``_reset_draws`` and ``_step_draws`` and steps all
+active lanes through ``_dream_step``.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,10 +34,6 @@ from .world_model import sample_transition_raw  # noqa: F401  (unused here; perf
 __all__ = [
     "RandomizationPolicy",
     "DreamConfig",
-    "DreamEnvState",
-    "DreamEnv",
-    "mask_hash",
-    "write_trace",
     "rollout_batch",
 ]
 
@@ -48,10 +42,6 @@ class RandomizationPolicy(str, Enum):
     OFF = "off"
     EPISODE = "episode"
     STEP = "step"
-
-
-class DreamDoneError(RuntimeError):
-    """Raised when a finished dream episode is stepped without a reset."""
 
 
 @dataclass
@@ -95,30 +85,6 @@ class DreamConfig:
     @property
     def model(self) -> WorldModelParams:
         return self.ensemble[0]
-
-
-@dataclass
-class DreamEnvState:
-    h: np.ndarray
-    c: np.ndarray
-    z_hat: np.ndarray
-    mask: tuple | None  # (sx, sh) of the last step's masks, or None when unmasked
-    model_idx: int
-    t: int
-    done: bool
-    truncated: bool
-
-
-def mask_hash(sx, sh) -> str:
-    """Short hash of the kept/dropped pattern of a mask block."""
-    return hashlib.sha1(np.packbits(sx != 0).tobytes() + np.packbits(sh != 0).tobytes()).hexdigest()[:12]
-
-
-def write_trace(records, path) -> None:
-    """Line-delimited JSON rollout trace (one record per step)."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def _start_pool(starts, n) -> np.ndarray:
@@ -244,91 +210,6 @@ def _dream_step(cfg: DreamConfig, X, H, C, member, sx, sh, u_comp, E, D, N):
     return h, c, z_next, r_hat, d_hat, D < d_hat
 
 
-class DreamEnv:
-    """Single dream episode driver: the one-lane view of ``rollout_batch``.
-
-    It draws through the same helpers and steps through the same array step
-    as ``rollout_batch``; the instance only carries episode state, the
-    mask-sampling counter, and the optional step trace.
-    """
-
-    def __init__(self, cfg: DreamConfig, starts: np.ndarray):
-        self.cfg = cfg
-        self.starts = _start_pool(starts, cfg.model.n)
-        self.state: DreamEnvState | None = None
-        self.masks_sampled = 0
-        self.trace: list | None = None
-        self._plan = _mask_plan(cfg)
-
-    @property
-    def n(self) -> int:
-        return self.cfg.model.n
-
-    @property
-    def action_dim(self) -> int:
-        return self.cfg.model.action_dim
-
-    def start_trace(self):
-        self.trace = []
-        return self.trace
-
-    def reset(self, rng):
-        """Start an episode: zero hidden/cell state, draw the initial latent
-        from the start pool, and (under Episode policy) this episode's mask."""
-        cfg = self.cfg
-        per_set, at_reset, _, mask_args = self._plan
-        Z, U0, member = _reset_draws(cfg, [rng], self.starts, per_set * at_reset)
-        self.masks_sampled += at_reset
-        d = cfg.model.hidden_dim
-        mask = masks_from_uniforms(U0, *mask_args) if at_reset else None
-        self.state = DreamEnvState(np.zeros(d), np.zeros(d), Z[0], mask, int(member[0]), 0, False, False)
-        if self.trace is not None:
-            self.trace.clear()
-        return Z[0].copy(), self.state.h.copy()
-
-    def step(self, action, rng):
-        """Advance the dream one step. Returns (z_hat', r_hat, done, h')."""
-        cfg = self.cfg
-        s = self.state
-        if s is None or s.done:
-            raise DreamDoneError("dream episode is done; call reset")
-        action = np.asarray(action, dtype=np.float64).reshape(-1)
-        if action.shape != (self.action_dim,):
-            raise ValueError(f"action has shape {action.shape}, expected ({self.action_dim},)")
-
-        per_set, _, sets, mask_args = self._plan
-        m_u = sets * per_set
-        member = np.array([s.model_idx])
-        U, E, D, N = _step_draws(cfg, [rng], member, m_u)
-        s.model_idx = int(member[0])
-        if sets:
-            self.masks_sampled += sets
-            s.mask = masks_from_uniforms(U[:, :m_u].reshape(sets, per_set), *mask_args)
-        sx, sh = s.mask or (None, None)
-        X = np.concatenate([s.z_hat, action])[None]
-        h, c, z_next, r_hat, d_hat, ended = _dream_step(cfg, X, s.h[None], s.c[None], member, sx, sh, U[:, m_u:], E, D, N)
-
-        s.h, s.c, s.z_hat = h[0], c[0], z_next[0]
-        s.t += 1
-        s.truncated = bool(not ended[0] and s.t >= cfg.max_ep_len)
-        s.done = bool(ended[0]) or s.truncated
-        r_hat, d_hat = float(r_hat[0]), float(d_hat[0])
-        if self.trace is not None:
-            self.trace.append(
-                {
-                    "t": s.t,
-                    "z_hat": [float(v) for v in s.z_hat],
-                    "action": [float(v) for v in action],
-                    "r_hat": r_hat,
-                    "d_hat": d_hat,
-                    "mask": None if s.mask is None else mask_hash(*s.mask),
-                    "done": s.done,
-                    "truncated": s.truncated,
-                }
-            )
-        return s.z_hat.copy(), r_hat, s.done, s.h.copy()
-
-
 def rollout_batch(
     cfg: DreamConfig,
     controller_w: np.ndarray,
@@ -346,9 +227,9 @@ def rollout_batch(
     (L, action_dim, n + 2d). ``starts`` is an (m, n) pool of initial latents.
 
     Each lane draws from its own generator only, as ``_reset_draws`` and
-    ``_step_draws`` set out. Against ``DreamEnv``, and against the same lanes
-    in a batch of another size, results match only up to matmul rounding,
-    because BLAS row results depend on the row count.
+    ``_step_draws`` set out. Against the same lanes in a batch of another
+    size, results match only up to matmul rounding, because BLAS row results
+    depend on the row count.
 
     Returns a dict with per-lane returns, steps, truncation flags, and the
     number of mask sets drawn.

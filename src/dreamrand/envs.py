@@ -302,7 +302,6 @@ class Trajectory:
     a: np.ndarray
     r: np.ndarray
     d: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=np.float64)
@@ -395,7 +394,7 @@ def collect_trajectories(env, policy, count, mix_expert_prob, rng, meta=None) ->
         raise ValueError("mix_expert_prob must be in [0, 1]")
     trajectories = []
     child_rngs = rng.spawn(count)
-    for ep, ep_rng in enumerate(child_rngs):
+    for ep_rng in child_rngs:
         z = env.reset(ep_rng)
         zs, actions, rewards, dones = [z], [], [], []
         done = False
@@ -409,9 +408,7 @@ def collect_trajectories(env, policy, count, mix_expert_prob, rng, meta=None) ->
             actions.append(a)
             rewards.append(r)
             dones.append(done)
-        trajectories.append(
-            Trajectory(np.stack(zs), np.stack(actions), np.array(rewards), np.array(dones), meta={"episode": ep})
-        )
+        trajectories.append(Trajectory(np.stack(zs), np.stack(actions), np.array(rewards), np.array(dones)))
     return Dataset(
         trajectories,
         np.arange(count),

@@ -288,6 +288,8 @@ def lstm_backward(weights: LstmWeights, cache: LstmCache, d_hs) -> LstmGrads:
         dc = dh * f_c[t]
         dc += dc_next
         np.multiply(dc, f_ifw[:, t], out=d_pre[1:, t])
+        if t == 0:  # the rest only feeds the initial state's gradient, never returned
+            break
         dc_next = dc * s_f[t]
         d_hm = np.matmul(d_pre[:, t], w_h)  # (4, B, d)
         d_hm *= sh_t

@@ -1,5 +1,5 @@
-"""Low-level numerics: seeded random streams, log-domain helpers, and a
-finite-difference gradient oracle.
+"""Low-level numerics: seeded random streams, the logistic function,
+log-domain helpers and a global norm.
 
 Everything runs in float64. Randomness is built on numpy's counter-based
 Philox generator so that any (seed, stream-id, ...) tuple maps to the same
@@ -8,22 +8,19 @@ draw sequence on every run, and disjoint id tuples give independent streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_FD_EPS",
     "LOG_2PI",
     "rng_stream",
     "sigmoid",
     "log_sum_exp",
     "gaussian_logpdf",
-    "finite_diff_grad",
     "global_norm",
 ]
 
-DEFAULT_FD_EPS = 1e-5
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -96,29 +93,6 @@ def gaussian_logpdf(x, mu, sigma):
     mu = np.asarray(mu, dtype=np.float64)
     out = -0.5 * LOG_2PI - np.log(sigma) - (x - mu) ** 2 / (2.0 * sigma**2)
     return float(out) if out.ndim == 0 else out
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, eps: float = DEFAULT_FD_EPS) -> np.ndarray:
-    """Central-difference gradient of a scalar function, the oracle used to
-    check every analytic gradient in this package.
-
-    ``f`` must be deterministic and evaluable in an eps-ball around x.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = np.array(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for idx in np.ndindex(*x.shape):
-        orig = x[idx]
-        x[idx] = orig + eps
-        f_plus = float(f(x))
-        x[idx] = orig - eps
-        f_minus = float(f(x))
-        x[idx] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"non-finite function value near coordinate {idx}")
-        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
 
 
 def global_norm(arrays: Iterable[np.ndarray]) -> float:

@@ -40,9 +40,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 20
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float = 5.0
     seed: int = 0
 
@@ -224,7 +221,7 @@ def train_dynamics(dataset, cfg: TrainConfig):
             "seed": cfg.seed,
         },
     )
-    opt = AdamOptimizer(params.theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = AdamOptimizer(params.theta, cfg.lr)
     order_rng = rng_stream(cfg.seed, "train", "order")
     mask_rng = rng_stream(cfg.seed, "train", "masks")
     mask_args = (cfg.p_train, params.input_dim, cfg.hidden_size)

@@ -12,8 +12,9 @@ from dreamrand.lstm import (
     masks_from_uniforms,
     sample_mask_set,
 )
-from dreamrand.numerics import finite_diff_grad, rng_stream
+from dreamrand.numerics import rng_stream
 from dreamrand.world_model import WorldModelParams
+from finite_diff import finite_diff_grad
 
 
 def init_weights(hidden_dim, input_dim, rng):

@@ -6,9 +6,10 @@ import pytest
 
 from dreamrand import storage
 from dreamrand.lstm import lstm_forward, mask_uniform_count, masks_from_uniforms
-from dreamrand.numerics import finite_diff_grad, rng_stream
+from dreamrand.numerics import rng_stream
 from dreamrand.training import _batch_loss_and_grads
 from dreamrand.world_model import WorldModelParams, load_model, save_model, transition_loss_batch
+from finite_diff import finite_diff_grad
 from world_model_oracles import MdnOutput, Prediction, heads_forward, mdn_loss, sample_transition, transition_loss
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
