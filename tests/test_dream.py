@@ -97,6 +97,18 @@ class TestConfigValidation:
 
 
 class TestResetAndStep:
+    def test_reset_returns_zero_hidden(self):
+        # A one-step episode returns the reward of a step taken from zero
+        # hidden and cell states.
+        model = make_model(1)
+        cfg = cfg_for(model, max_ep_len=1, p_infer=0.1, policy="step")
+        W, b = constant_action(model, 6, [0.3, -0.2])
+        out = rollout_batch(cfg, W, b, lane_rngs(1, "reset", count=6), STARTS)
+        rngs = lane_rngs(1, "reset", count=6)
+        Z, _, _ = _reset_draws(cfg, rngs, STARTS, 0)
+        (_, _, _, r_hat, _, _), _ = one_step(cfg, rngs, Z, np.tanh(b[0]))
+        assert np.array_equal(out["returns"], r_hat)
+
     def test_dataset_starts_membership(self):
         starts = rng_stream(3, "starts").normal(size=(7, 3))
         Z, _, _ = _reset_draws(cfg_for(make_model()), lane_rngs(4, "starts-draw", count=50), starts, 0)
@@ -111,6 +123,34 @@ class TestResetAndStep:
         got = rollout_batch(cfg, W, b, lane_rngs(5, "int-starts", count=6), starts)
         want = rollout_batch(cfg, W, b, lane_rngs(5, "int-starts", count=6), starts.astype(np.float64))
         assert_same_episodes(got, want)
+
+    def test_dataset_starts_empty_pool_rejected(self):
+        model = make_model()
+        W, b = constant_action(model, 2, [0.0, 0.0])
+        for empty in (np.zeros((0, 3)), []):
+            with pytest.raises(ValueError, match="starts"):
+                rollout_batch(cfg_for(model), W, b, lane_rngs(2, "empty", count=2), empty)
+
+    def test_no_step_after_done(self):
+        # A lane that ends stops drawing: each lane consumes its reset draw
+        # and one step's draws, and nothing more.
+        model = make_model(done_logit=50.0)
+        cfg = cfg_for(model, p_infer=0.0, policy="off")
+        W, b = constant_action(model, 4, [0.0, 0.0])
+        rngs = lane_rngs(6, "done", count=4)
+        out = rollout_batch(cfg, W, b, rngs, STARTS)
+        assert np.all(out["steps"] == 1) and not out["truncated"].any()
+        want = lane_rngs(6, "done", count=4)
+        _reset_draws(cfg, want, STARTS, 0)
+        _step_draws(cfg, want, np.zeros(4, dtype=np.int64), 0)
+        assert [g.random() for g in rngs] == [g.random() for g in want]
+
+    def test_episode_never_exceeds_max_len(self):
+        model = make_model(done_logit=-50.0)
+        W, b = constant_action(model, 4, [0.0, 0.0])
+        out = rollout_batch(cfg_for(model, max_ep_len=17), W, b, lane_rngs(7, "maxlen", count=4), STARTS)
+        assert np.all(out["steps"] == 17)
+        assert out["truncated"].all()
 
     def test_termination_frequency_matches_dhat(self):
         model = make_model(done_logit=0.0)
@@ -127,6 +167,14 @@ class TestResetAndStep:
         step = rollout_batch(cfg_for(model, p_infer=0.0, policy="step"), W, b, lane_rngs(10, "off", count=8), STARTS)
         assert_same_episodes(step, off)
 
+    def test_mask_counting_by_policy(self):
+        model = make_model(11, done_logit=-50.0)
+        W, b = constant_action(model, 1, [0.0, 0.0])
+        for policy, expected in (("off", 0), ("episode", 1), ("step", 20)):
+            cfg = cfg_for(model, p_infer=0.1, policy=policy, max_ep_len=20)
+            out = rollout_batch(cfg, W, b, [rng_stream(12, "count", policy)], STARTS)
+            assert out["masks_sampled"] == expected
+
     def test_disjoint_mask_sequences_across_seeds(self):
         # Every stream draws its own sequence of Step masks over 8 steps.
         cfg = cfg_for(make_model(13), p_infer=0.1, policy="step")
@@ -138,6 +186,28 @@ class TestResetAndStep:
             kept.append(np.concatenate([SX.reshape(len(rngs), -1), SH.reshape(len(rngs), -1)], axis=1) != 0)
         seqs = {np.packbits(np.concatenate(kept, axis=1)[lane]).tobytes() for lane in range(len(rngs))}
         assert len(seqs) == len(rngs)
+
+
+    def test_transition_is_pure(self):
+        # _dream_step leaves its inputs as they were, so the same inputs
+        # give the same step.
+        model = make_model(15)
+        cfg = cfg_for(model, p_infer=0.2, policy="step")
+        per_set, _, sets, mask_args = _mask_plan(cfg)
+        A, d = 4, model.hidden_dim
+        rng = rng_stream(16, "pure")
+        member = np.zeros(A, dtype=np.int64)
+        U, E, D, N = _step_draws(cfg, lane_rngs(17, "pure-step", count=A), member, sets * per_set)
+        SX, SH = masks_from_uniforms(U[:, : sets * per_set], *mask_args)
+        args = (np.concatenate([STARTS[:A], np.full((A, 2), 0.1)], axis=1), rng.normal(size=(A, d)),
+                rng.normal(size=(A, d)), member, SX, SH, U[:, sets * per_set:], E, D, N)
+        before = [None if a is None else a.copy() for a in args]
+        out1 = _dream_step(cfg, *args)
+        for a, want in zip(args, before):
+            assert (a is None and want is None) or np.array_equal(a, want)
+        out2 = _dream_step(cfg, *args)
+        for x, y in zip(out1, out2):
+            assert np.array_equal(x, y)
 
 
 class TestMcStep:
@@ -218,6 +288,38 @@ class TestBatchedRollout:
         W = rng.normal(size=(L, model.action_dim, f_dim)) * 0.3
         b = rng.normal(size=(L, model.action_dim)) * 0.1
         return W, b
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"p_infer": 0.1, "policy": "step"},
+            {"p_infer": 0.1, "policy": "episode"},
+            {"p_infer": 0.0, "policy": "off"},
+            {"p_infer": 0.2, "mc_samples": 3},
+            {"p_infer": 0.0, "policy": "off", "noise_sigma": 0.3},
+            {"p_infer": 0.0, "policy": "step", "members": 3},
+            {"p_infer": 0.0, "policy": "episode", "members": 3},
+            {"p_infer": 0.2, "mc_samples": 1},
+        ],
+    )
+    def test_matches_single_env_rollouts(self, kw):
+        # Each lane of a batch plays the episode that the same lane plays
+        # alone in a one-lane batch: same steps, returns equal up to matmul
+        # rounding.
+        model = make_model(51)
+        kw = dict(kw)
+        members = kw.pop("members", 1)
+        if members > 1:
+            kw["ensemble"] = [model] + [make_model(60 + i) for i in range(members - 1)]
+        cfg = cfg_for(model, max_ep_len=12, **kw)
+        L = 4
+        W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
+        out = rollout_batch(cfg, W, b, [rng_stream(52, "lane", i) for i in range(L)], STARTS)
+        for lane in range(L):
+            alone = rollout_batch(cfg, W[lane : lane + 1], b[lane : lane + 1], [rng_stream(52, "lane", lane)], STARTS)
+            assert alone["steps"][0] == out["steps"][lane]
+            assert alone["truncated"][0] == out["truncated"][lane]
+            assert alone["returns"][0] == pytest.approx(out["returns"][lane], abs=1e-9)
 
     def test_repeatable(self):
         model = make_model(53)
