@@ -2,6 +2,9 @@
 environments, the periodic dream leader board, and the final mask-free
 real-environment evaluation.
 
+``linear_policy`` is the one implementation of the controller, a batched
+policy over lanes: the dream rollouts and ``evaluate_real`` act through it.
+
 The evolution strategy is the standard (mu/mu_w, lambda) CMA-ES with rank-mu
 update and the canonical weight and learning-rate formulas. Fitness is used
 only through ranks, so any strictly monotone transform of the returns leaves
@@ -24,7 +27,7 @@ from .numerics import rng_stream
 __all__ = [
     "FeatureSpec",
     "ControllerParams",
-    "act",
+    "linear_policy",
     "CmaConfig",
     "CmaEs",
     "LeaderBoard",
@@ -90,17 +93,25 @@ class ControllerParams:
         return ControllerParams(self.w.copy(), self.b.copy(), self.features)
 
 
-def act(ctrl: ControllerParams, z, h, c=None) -> np.ndarray:
-    """Deterministic policy output in [-1, 1]^action_dim."""
-    parts = [np.asarray(z, dtype=np.float64), np.asarray(h, dtype=np.float64)]
-    if ctrl.features is FeatureSpec.ZHC:
-        if c is None:
-            raise ValueError("feature spec zhc requires the cell state")
-        parts.append(np.asarray(c, dtype=np.float64))
-    feats = np.concatenate(parts)
-    if feats.shape != (ctrl.feature_dim,):
-        raise ValueError(f"features have length {feats.shape[0]}, expected {ctrl.feature_dim}")
-    return np.tanh(ctrl.w @ feats + ctrl.b)
+def linear_policy(W, B, features: FeatureSpec = FeatureSpec.ZH):
+    """The linear controller as a batched policy.
+
+    W (L, action_dim, feature_dim) and B (L, action_dim) hold one controller
+    per lane. The returned ``policy(lanes, Z, H, C)`` gives the actions
+    tanh(W[lane] @ f + B[lane]) of the lanes indexed by ``lanes``, one row
+    each, where f is [z, h], or [z, h, c] under FeatureSpec.ZHC.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if W.ndim != 3 or B.shape != W.shape[:2]:
+        raise ValueError(f"controller weights {W.shape} and biases {B.shape} disagree")
+    zhc = FeatureSpec(features) is FeatureSpec.ZHC
+
+    def policy(lanes, Z, H, C):
+        feats = np.concatenate((Z, H, C) if zhc else (Z, H), axis=1)
+        return np.tanh(np.einsum("laf,lf->la", W[lanes], feats) + B[lanes])
+
+    return policy
 
 
 @dataclass
@@ -276,7 +287,6 @@ def cma_optimize(
     feature_dim = features.feature_dim(n, d)
     action_dim = model.action_dim
     dim = action_dim * (feature_dim + 1)
-    include_c = features is FeatureSpec.ZHC
 
     es = CmaEs(np.zeros(dim), cma_cfg.sigma0, cma_cfg.n_pop, rng_stream(cma_cfg.seed, "cma-ask"))
     board = LeaderBoard()
@@ -291,7 +301,7 @@ def cma_optimize(
             for member in range(cma_cfg.n_pop)
             for trial in range(n_trials)
         ]
-        out = rollout_batch(dream_cfg, W, B, lane_rngs, starts=starts, include_c=include_c)
+        out = rollout_batch(dream_cfg, linear_policy(W, B, features), lane_rngs, starts)
         per_member = out["returns"].reshape(cma_cfg.n_pop, n_trials)
         fitness = per_member.mean(axis=1)
         bad = ~np.isfinite(fitness)
@@ -315,7 +325,7 @@ def cma_optimize(
             n_eval = cma_cfg.n_pop * n_trials
             WB, BB = _stack_controllers(best[None], action_dim, feature_dim, n_eval)
             eval_rngs = [rng_stream(cma_cfg.seed, "leaderboard", gen, j) for j in range(n_eval)]
-            eval_out = rollout_batch(dream_cfg, WB, BB, eval_rngs, starts=starts, include_c=include_c)
+            eval_out = rollout_batch(dream_cfg, linear_policy(WB, BB, features), eval_rngs, starts)
             board.append(
                 LeaderBoardEntry(
                     gen,
@@ -340,11 +350,13 @@ def evaluate_real(ctrl: ControllerParams, env, model_params, n_episodes: int, se
     mask-free and is used only to produce h (and c) as controller features;
     no parameters are updated.
     """
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be at least 1")
     if ctrl.feature_dim != ctrl.features.feature_dim(model_params.n, model_params.hidden_dim):
         raise ValueError("controller features do not match the world model dimensions")
     if env.state_dim != model_params.n or env.action_dim != model_params.action_dim:
         raise ValueError("environment dimensions do not match the world model")
-    zhc = ctrl.features is FeatureSpec.ZHC
+    policy = linear_policy(ctrl.w[None], ctrl.b[None], ctrl.features)
     d = model_params.hidden_dim
     returns = np.empty(n_episodes)
     for ep in range(n_episodes):
@@ -354,7 +366,7 @@ def evaluate_real(ctrl: ControllerParams, env, model_params, n_episodes: int, se
         h, c = np.zeros((1, d)), np.zeros((1, d))
         total, done = 0.0, False
         while not done:
-            a = act(ctrl, z, h[0], c[0] if zhc else None)
+            a = policy(slice(None), z[None], h, c)[0]
             z_next, r, done = env_ep.step(a, rng)
             h, c = lstm_step(model_params.lstm, np.concatenate([z, a])[None], h, c)
             z = z_next

@@ -15,8 +15,9 @@ hidden state carried across members unchanged).
 Every episode starts from zero hidden and cell states and a latent picked
 uniformly from a start pool of observed initial states, the (m, n)
 ``starts``. ``rollout_batch`` runs one episode per lane in lockstep: it makes
-each lane's draws through ``_reset_draws`` and ``_step_draws`` and steps all
-active lanes through ``_dream_step``.
+each lane's draws through ``_reset_draws`` and ``_step_draws``, takes the
+active lanes' actions from one batched policy call (the controller's is
+``controller.linear_policy``) and steps those lanes through ``_dream_step``.
 """
 from __future__ import annotations
 
@@ -210,21 +211,14 @@ def _dream_step(cfg: DreamConfig, X, H, C, member, sx, sh, u_comp, E, D, N):
     return h, c, z_next, r_hat, d_hat, D < d_hat
 
 
-def rollout_batch(
-    cfg: DreamConfig,
-    controller_w: np.ndarray,
-    controller_b: np.ndarray,
-    lane_rngs,
-    starts: np.ndarray,
-    include_c: bool = False,
-):
+def rollout_batch(cfg: DreamConfig, policy, lane_rngs, starts: np.ndarray):
     """Roll one dream episode per lane in lockstep; each loop iteration runs
     the whole step for all active lanes as array math.
 
-    controller_w: (L, action_dim, n + d) and controller_b: (L, action_dim)
-    give each lane its own linear policy over features [z, h]; with
-    ``include_c`` the features are [z, h, c] and controller_w is
-    (L, action_dim, n + 2d). ``starts`` is an (m, n) pool of initial latents.
+    ``policy(lanes, Z, H, C)`` gives the actions (A, action_dim) of the A
+    active lanes: ``lanes`` holds their indices into ``lane_rngs``, and Z, H
+    and C their latents and hidden and cell states, one row per lane in the
+    order of ``lanes``. ``starts`` is an (m, n) pool of initial latents.
 
     Each lane draws from its own generator only, as ``_reset_draws`` and
     ``_step_draws`` set out. Against the same lanes in a batch of another
@@ -239,13 +233,6 @@ def rollout_batch(
     L = len(lane_rngs)
     if L == 0:
         raise ValueError("rollout_batch needs at least one lane")
-    f_dim = n + (2 * d if include_c else d)
-    W = np.asarray(controller_w, dtype=np.float64)
-    Bc = np.asarray(controller_b, dtype=np.float64)
-    if W.shape != (L, model.action_dim, f_dim):
-        raise ValueError(f"controller_w has shape {W.shape}, expected {(L, model.action_dim, f_dim)}")
-    if Bc.shape != (L, model.action_dim):
-        raise ValueError(f"controller_b has shape {Bc.shape}, expected {(L, model.action_dim)}")
     starts = _start_pool(starts, n)
 
     per_set, at_reset, sets, mask_args = _mask_plan(cfg)
@@ -259,8 +246,6 @@ def rollout_batch(
     rngs = list(lane_rngs)
     H = np.zeros((L, d))
     C = np.zeros((L, d))
-    Wa = np.ascontiguousarray(W)
-    Ba = np.ascontiguousarray(Bc)
     truncated = np.zeros(L, dtype=bool)
     returns = np.zeros(L)
     steps = np.zeros(L, dtype=np.int64)
@@ -268,8 +253,9 @@ def rollout_batch(
     for t in range(cfg.max_ep_len):
         A = len(lanes)
         U, E, D, N = _step_draws(cfg, rngs, member, m_u)
-        feats = (Z, H, C) if include_c else (Z, H)
-        act = np.tanh(np.einsum("laf,lf->la", Wa, np.concatenate(feats, axis=1)) + Ba)
+        act = policy(lanes, Z, H, C)
+        if np.shape(act) != (A, model.action_dim):
+            raise ValueError(f"policy gave actions of shape {np.shape(act)}, expected {(A, model.action_dim)}")
         X = np.concatenate([Z, act], axis=1)
         if sets:
             masks_sampled += A * sets
@@ -287,7 +273,7 @@ def rollout_batch(
             if len(lanes) == 0:
                 break
             rngs = [rngs[j] for j in np.flatnonzero(keep)]
-            Z, H, C, Wa, Ba = z_next[keep], h_new[keep], c_new[keep], Wa[keep], Ba[keep]
+            Z, H, C = z_next[keep], h_new[keep], c_new[keep]
             member = member[keep]
             if at_reset:
                 SX, SH = SX[keep], SH[keep]

@@ -22,6 +22,7 @@ from . import storage
 from .numerics import rng_stream
 
 __all__ = [
+    "EpisodeDoneError",
     "DodgeWorld",
     "TrackWorld",
     "Trajectory",

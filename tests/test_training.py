@@ -82,6 +82,13 @@ class TestTrainDynamics:
         with pytest.raises(ValueError):
             train_dynamics(ds, short_cfg)
 
+    @pytest.mark.parametrize("name,value", [("alpha_r", -0.1), ("alpha_d", -1.0), ("grad_clip", 0.0), ("grad_clip", -5.0)])
+    def test_bad_loss_settings_rejected(self, name, value):
+        # A negative loss weight would maximise its term; grad_clip has no
+        # off value.
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
     def test_alpha_r_zero_leaves_reward_head_untouched(self):
         ds = tiny_dataset()
         cfg = TrainConfig(hidden_size=8, epochs=2, seq_len=16, batch_size=4, seed=10, alpha_r=0.0)
@@ -165,6 +172,13 @@ class TestEvaluateLoss:
         b = evaluate_loss(params, track_dataset, 0.0, n_mask_samples=9, seed=2)
         assert a.mean == b.mean
         assert a.per_sequence.shape[0] == 1
+
+    def test_p_zero_matches_report_test_loss(self, track_dataset, trained_track_model):
+        # The last epoch's test loss and the mask-free evaluation are the same
+        # loss over the same windows, summed in a different order.
+        params, report = trained_track_model
+        res = evaluate_loss(params, track_dataset, 0.0)
+        assert res.mean == pytest.approx(report.test_loss[-1], rel=1e-12)
 
     def test_sweep_nondecreasing(self, track_dataset, trained_track_model):
         params, _ = trained_track_model
