@@ -3,7 +3,8 @@ environments, the periodic dream leader board, and the final mask-free
 real-environment evaluation.
 
 ``linear_policy`` is the one implementation of the controller, a batched
-policy over lanes: the dream rollouts and ``evaluate_real`` act through it.
+policy over lanes: the dream rollouts and ``evaluate_real`` act through it,
+both running their episodes in lockstep on ``dream.run_lanes``.
 
 The evolution strategy is the standard (mu/mu_w, lambda) CMA-ES with rank-mu
 update and the canonical weight and learning-rate formulas. Fitness is used
@@ -20,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import storage
-from .dream import DreamConfig, rollout_batch
+from .dream import DreamConfig, rollout_batch, run_lanes
 from .lstm import lstm_step
 from .numerics import rng_stream
 
@@ -169,7 +170,6 @@ class CmaEs:
         self.generation = 0
         self._eig_basis = np.eye(n)
         self._eig_sqrt = np.ones(n)
-        self._pending = None
 
     def _decompose(self):
         self.cov = (self.cov + self.cov.T) / 2.0
@@ -184,8 +184,7 @@ class CmaEs:
         self._decompose()
         z = self.rng.standard_normal((self.lam, self.n))
         y = (z * self._eig_sqrt) @ self._eig_basis.T
-        self._pending = self.mean + self.sigma * y
-        return self._pending.copy()
+        return self.mean + self.sigma * y
 
     def tell(self, solutions, costs) -> None:
         """Rank-based distribution update (costs are minimized)."""
@@ -349,6 +348,14 @@ def evaluate_real(ctrl: ControllerParams, env, model_params, n_episodes: int, se
     """Roll the controller in the real environment. The world model runs
     mask-free and is used only to produce h (and c) as controller features;
     no parameters are updated.
+
+    The episodes run in lockstep on ``run_lanes``; episode ``ep`` steps a deep
+    copy of ``env`` with its own generator ``rng_stream(seed, "real", ep)``,
+    for at most ``env.max_ep_len`` steps.
+    Each iteration makes one ``lstm_step`` call over the active episodes,
+    then steps their envs in episode order. A cell over A rows rounds unlike
+    a one-row cell (by up to 2.5e-16), so actions match an episode run alone
+    only to that rounding.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
@@ -356,22 +363,18 @@ def evaluate_real(ctrl: ControllerParams, env, model_params, n_episodes: int, se
         raise ValueError("controller features do not match the world model dimensions")
     if env.state_dim != model_params.n or env.action_dim != model_params.action_dim:
         raise ValueError("environment dimensions do not match the world model")
-    policy = linear_policy(ctrl.w[None], ctrl.b[None], ctrl.features)
-    d = model_params.hidden_dim
-    returns = np.empty(n_episodes)
-    for ep in range(n_episodes):
-        rng = rng_stream(seed, "real", ep)
-        env_ep = copy.deepcopy(env)
-        z = env_ep.reset(rng)
-        h, c = np.zeros((1, d)), np.zeros((1, d))
-        total, done = 0.0, False
-        while not done:
-            a = policy(slice(None), z[None], h, c)[0]
-            z_next, r, done = env_ep.step(a, rng)
-            h, c = lstm_step(model_params.lstm, np.concatenate([z, a])[None], h, c)
-            z = z_next
-            total += r
-        returns[ep] = total
+    W, B = _stack_controllers(ctrl.to_flat()[None], ctrl.action_dim, ctrl.feature_dim, n_episodes)
+    rngs = [rng_stream(seed, "real", ep) for ep in range(n_episodes)]
+    envs = [copy.deepcopy(env) for _ in range(n_episodes)]
+    Z = np.stack([env_ep.reset(rng) for env_ep, rng in zip(envs, rngs)])
+
+    def transition(lanes, X, H, C):
+        h, c = lstm_step(model_params.lstm, X, H, C)
+        out = [envs[j].step(x[model_params.n :], rngs[j]) for j, x in zip(lanes.tolist(), X)]
+        z_next, r, ended = (np.array(col) for col in zip(*out))
+        return h, c, z_next, r, ended
+
+    returns, _, _ = run_lanes(model_params, linear_policy(W, B, ctrl.features), transition, Z, env.max_ep_len)
     return RealEvalResult(float(returns.mean()), float(returns.std()), returns)
 
 

@@ -12,12 +12,11 @@ Noisy (unmasked stepping plus Gaussian perturbation of the latent), and
 explicit ensembles (the active member is resampled per step or per episode,
 hidden state carried across members unchanged).
 
-Every episode starts from zero hidden and cell states and a latent picked
-uniformly from a start pool of observed initial states, the (m, n)
-``starts``. ``rollout_batch`` runs one episode per lane in lockstep: it makes
-each lane's draws through ``_reset_draws`` and ``_step_draws``, takes the
-active lanes' actions from one batched policy call (the controller's is
-``controller.linear_policy``) and steps those lanes through ``_dream_step``.
+``run_lanes`` runs episodes in lockstep, dream and real alike. Its callers
+are ``rollout_batch`` and ``controller.evaluate_real``. A dream episode
+starts from a latent picked uniformly from the (m, n) pool ``starts`` of
+observed initial states; its steps make each lane's draws through
+``_step_draws`` and run ``_dream_step``.
 """
 from __future__ import annotations
 
@@ -36,6 +35,7 @@ __all__ = [
     "RandomizationPolicy",
     "DreamConfig",
     "rollout_batch",
+    "run_lanes",
 ]
 
 
@@ -49,7 +49,9 @@ class RandomizationPolicy(str, Enum):
 class DreamConfig:
     """Dream-environment behavior. ``ensemble`` holds the dynamics model(s);
     size 1 means a single model. The MC-dropout, noise, and ensemble variants
-    are mutually exclusive so each baseline is tested in isolation."""
+    are mutually exclusive so each baseline is tested in isolation. ``policy``
+    is the mask-randomization policy (Off, Episode or Step), not the action
+    policy that ``rollout_batch`` and ``run_lanes`` take."""
 
     ensemble: list
     p_infer: float = 0.1
@@ -211,14 +213,42 @@ def _dream_step(cfg: DreamConfig, X, H, C, member, sx, sh, u_comp, E, D, N):
     return h, c, z_next, r_hat, d_hat, D < d_hat
 
 
-def rollout_batch(cfg: DreamConfig, policy, lane_rngs, starts: np.ndarray):
-    """Roll one dream episode per lane in lockstep; each loop iteration runs
-    the whole step for all active lanes as array math.
+def run_lanes(model, policy, transition, Z, max_len):
+    """The one episode loop, dream and real: one episode per lane in
+    lockstep, lane l starting from Z[l] (Z is (L, n)) and zero H and C.
 
-    ``policy(lanes, Z, H, C)`` gives the actions (A, action_dim) of the A
-    active lanes: ``lanes`` holds their indices into ``lane_rngs``, and Z, H
-    and C their latents and hidden and cell states, one row per lane in the
-    order of ``lanes``. ``starts`` is an (m, n) pool of initial latents.
+    Each iteration makes one ``policy(lanes, Z, H, C)`` call for the active
+    lanes' actions (A, action_dim), then one ``transition(lanes, X, H, C) ->
+    (h, c, z_next, r, ended)`` call on X = [z, a]. ``lanes`` holds the active
+    lanes in ascending order, and each array one row per lane in that order.
+    An ended lane is never passed again; lanes still running after
+    ``max_len`` steps are truncated. Returns per-lane (returns, steps,
+    truncated).
+    """
+    L = len(Z)
+    lanes = np.arange(L)
+    H, C = np.zeros((2, L, model.hidden_dim))
+    returns = np.zeros(L)
+    steps = np.zeros(L, dtype=np.int64)
+    for _ in range(max_len):
+        act = policy(lanes, Z, H, C)
+        if np.shape(act) != (len(lanes), model.action_dim):
+            raise ValueError(f"policy gave actions of shape {np.shape(act)}, expected {(len(lanes), model.action_dim)}")
+        h, c, z_next, r, ended = transition(lanes, np.concatenate([Z, act], axis=1), H, C)
+        returns[lanes] += r
+        steps[lanes] += 1
+        Z, H, C = z_next, h, c
+        if ended.any():
+            lanes, Z, H, C = (a[~ended] for a in (lanes, Z, H, C))
+            if len(lanes) == 0:
+                break
+    return returns, steps, np.isin(np.arange(L), lanes)  # lanes left running are truncated
+
+
+def rollout_batch(cfg: DreamConfig, policy, lane_rngs, starts: np.ndarray):
+    """Roll one dream episode per lane through ``run_lanes``, whose
+    ``policy(lanes, Z, H, C)`` contract this takes; ``lanes`` index
+    ``lane_rngs``. ``starts`` is an (m, n) pool of initial latents.
 
     Each lane draws from its own generator only, as ``_reset_draws`` and
     ``_step_draws`` set out. Against the same lanes in a batch of another
@@ -228,61 +258,30 @@ def rollout_batch(cfg: DreamConfig, policy, lane_rngs, starts: np.ndarray):
     Returns a dict with per-lane returns, steps, truncation flags, and the
     number of mask sets drawn.
     """
-    model = cfg.model
-    n, d = model.n, model.hidden_dim
     L = len(lane_rngs)
     if L == 0:
         raise ValueError("rollout_batch needs at least one lane")
-    starts = _start_pool(starts, n)
+    starts = _start_pool(starts, cfg.model.n)
 
     per_set, at_reset, sets, mask_args = _mask_plan(cfg)
     m_u = sets * per_set  # mask uniforms per lane-step
     Z, U0, member = _reset_draws(cfg, lane_rngs, starts, per_set * at_reset)
-    masks_sampled = L * at_reset
-    SX, SH = masks_from_uniforms(U0, *mask_args) if at_reset else (None, None)
+    SX0, SH0 = masks_from_uniforms(U0, *mask_args) if at_reset else (None, None)
 
-    # State of the active lanes only, compacted when lanes finish.
-    lanes = np.arange(L)
-    rngs = list(lane_rngs)
-    H = np.zeros((L, d))
-    C = np.zeros((L, d))
-    truncated = np.zeros(L, dtype=bool)
-    returns = np.zeros(L)
-    steps = np.zeros(L, dtype=np.int64)
-
-    for t in range(cfg.max_ep_len):
-        A = len(lanes)
-        U, E, D, N = _step_draws(cfg, rngs, member, m_u)
-        act = policy(lanes, Z, H, C)
-        if np.shape(act) != (A, model.action_dim):
-            raise ValueError(f"policy gave actions of shape {np.shape(act)}, expected {(A, model.action_dim)}")
-        X = np.concatenate([Z, act], axis=1)
+    def transition(lanes, X, H, C):
+        active = member[lanes]
+        U, E, D, N = _step_draws(cfg, [lane_rngs[j] for j in lanes.tolist()], active, m_u)
         if sets:
-            masks_sampled += A * sets
-            SX, SH = masks_from_uniforms(U[:, :m_u].reshape(A * sets, per_set), *mask_args)
-        h_new, c_new, z_next, r_hat, _, ended = _dream_step(cfg, X, H, C, member, SX, SH, U[:, m_u:], E, D, N)
-
-        returns[lanes] += r_hat
-        steps[lanes] += 1
-        if t == cfg.max_ep_len - 1:
-            truncated[lanes[~ended]] = True
-            break
-        if ended.any():
-            keep = ~ended
-            lanes = lanes[keep]
-            if len(lanes) == 0:
-                break
-            rngs = [rngs[j] for j in np.flatnonzero(keep)]
-            Z, H, C = z_next[keep], h_new[keep], c_new[keep]
-            member = member[keep]
-            if at_reset:
-                SX, SH = SX[keep], SH[keep]
+            SX, SH = masks_from_uniforms(U[:, :m_u].reshape(len(lanes) * sets, per_set), *mask_args)
         else:
-            Z, H, C = z_next, h_new, c_new
+            SX, SH = (SX0[lanes], SH0[lanes]) if at_reset else (None, None)
+        h, c, z_next, r_hat, _, ended = _dream_step(cfg, X, H, C, active, SX, SH, U[:, m_u:], E, D, N)
+        return h, c, z_next, r_hat, ended
 
+    returns, steps, truncated = run_lanes(cfg.model, policy, transition, Z, cfg.max_ep_len)
     return {
         "returns": returns,
         "steps": steps,
         "truncated": truncated,
-        "masks_sampled": int(masks_sampled),
+        "masks_sampled": int(L * at_reset + sets * steps.sum()),
     }

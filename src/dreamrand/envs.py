@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import storage
-from .numerics import rng_stream
 
 __all__ = [
     "EpisodeDoneError",
@@ -90,7 +89,7 @@ class DodgeWorld:
         parts = [np.array([self._x])]
         for i in range(self.n_hazards):
             parts.append(np.array([self._hx[i] - self._x, self._hy[i]]))
-        return np.concatenate(parts) if parts else np.array([self._x])
+        return np.concatenate(parts)
 
     def reset(self, rng) -> np.ndarray:
         self._x = 0.0

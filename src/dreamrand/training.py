@@ -97,10 +97,6 @@ class EvalLossResult:
     per_sequence: np.ndarray  # (reps, n_sequences) summed-over-time losses
     p_infer: float
 
-    @property
-    def n_sequences(self) -> int:
-        return self.per_sequence.shape[1]
-
 
 class AdamOptimizer:
     """Per-entry first/second moment estimation with bias correction, over

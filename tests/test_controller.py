@@ -211,51 +211,113 @@ class TestBadDimensions:
 
 
 class RecordingDodge(DodgeWorld):
-    """DodgeWorld that records every action it is stepped with. The list is a
-    class attribute, so the deep copies evaluate_real makes share it."""
+    """DodgeWorld that records every (env, action) it is stepped with. The
+    list is a class attribute, so the deep copies evaluate_real makes share
+    it."""
 
-    actions: list = []
+    steps: list = []
 
     def step(self, action, rng):
-        RecordingDodge.actions.append(np.array(action))
+        RecordingDodge.steps.append((self, np.array(action)))
         return super().step(action, rng)
 
 
+def recorded_actions():
+    """Take the recorded steps: (the actions in step order, the actions of
+    each env in the order the envs first stepped)."""
+    steps, RecordingDodge.steps = RecordingDodge.steps, []
+    per_env = {}
+    for env, action in steps:
+        per_env.setdefault(id(env), []).append(action)
+    return [action for _, action in steps], list(per_env.values())
+
+
+def lockstep_episodes(ctrl, env, model, n_episodes, seed):
+    """evaluate_real stepped by hand: each iteration takes the active
+    episodes' actions by ``reference_action`` and runs one ``lstm_step``
+    over their rows, then steps their envs in episode order."""
+    rngs = [rng_stream(seed, "real", ep) for ep in range(n_episodes)]
+    envs = [copy.deepcopy(env) for _ in range(n_episodes)]
+    Z = np.stack([env_ep.reset(rng) for env_ep, rng in zip(envs, rngs)])
+    H = C = np.zeros((n_episodes, model.hidden_dim))
+    active = np.arange(n_episodes)
+    returns = np.zeros(n_episodes)
+    while len(active):
+        A = len(active)
+        c_feat = C if ctrl.features is FeatureSpec.ZHC else None
+        acts = reference_action(np.repeat(ctrl.w[None], A, 0), np.repeat(ctrl.b[None], A, 0), Z, H, c_feat)
+        H, C = lstm_step(model.lstm, np.concatenate([Z, acts], axis=1), H, C)
+        out = [envs[ep].step(a, rngs[ep]) for ep, a in zip(active, acts)]
+        returns[active] += [r for _, r, _ in out]
+        keep = np.array([not done for _, _, done in out])
+        Z = np.stack([z for z, _, _ in out])[keep]
+        active, H, C = active[keep], H[keep], C[keep]
+    return returns
+
+
+def serial_episodes(ctrl, env, model, n_episodes, seed):
+    """One episode at a time, each with a one-row ``lstm_step``."""
+    returns = []
+    for ep in range(n_episodes):
+        rng = rng_stream(seed, "real", ep)
+        env_ep = copy.deepcopy(env)
+        z = env_ep.reset(rng)
+        h = c = np.zeros((1, model.hidden_dim))
+        total, done = 0.0, False
+        while not done:
+            c_feat = c if ctrl.features is FeatureSpec.ZHC else None
+            a = reference_action(ctrl.w[None], ctrl.b[None], z[None], h, c_feat)[0]
+            z_next, r, done = env_ep.step(a, rng)
+            h, c = lstm_step(model.lstm, np.concatenate([z, a])[None], h, c)
+            z = z_next
+            total += r
+        returns.append(total)
+    return np.array(returns)
+
+
 class TestEvaluateReal:
+    # 16 episodes under the step cap of 60 end at several different steps,
+    # so the lockstep loop drops episodes part way through.
+    N_EPISODES = 16
+
     def _setup(self, features):
         env = RecordingDodge(n_hazards=1, max_ep_len=60)
         model = WorldModelParams.init(env.state_dim, 2, 6, env.action_dim, rng_stream(5, "real-model"))
         feature_dim = features.feature_dim(model.n, model.hidden_dim)
         return env, model, make_controller(6, feature_dim=feature_dim, features=features)
 
+    def _evaluate(self, features):
+        env, model, ctrl = self._setup(features)
+        RecordingDodge.steps = []
+        res = evaluate_real(ctrl, env, model, n_episodes=self.N_EPISODES, seed=7)
+        return (ctrl, env, model), res, recorded_actions()
+
     @pytest.mark.parametrize("features", [FeatureSpec.ZH, FeatureSpec.ZHC])
     def test_matches_hand_stepped_episodes(self, features):
-        # Returns and every action taken must match, so the features the
-        # controller acts on (z, h, and c for ZHC) are checked, not only
-        # episode outcomes.
-        env, model, ctrl = self._setup(features)
-        RecordingDodge.actions = []
-        res = evaluate_real(ctrl, env, model, n_episodes=3, seed=7)
-        got_actions, RecordingDodge.actions = RecordingDodge.actions, []
-        want = []
-        for ep in range(3):
-            rng = rng_stream(7, "real", ep)
-            env_ep = copy.deepcopy(env)
-            z = env_ep.reset(rng)
-            h = c = np.zeros((1, model.hidden_dim))
-            total, done = 0.0, False
-            while not done:
-                c_feat = c if features is FeatureSpec.ZHC else None
-                a = reference_action(ctrl.w[None], ctrl.b[None], z[None], h, c_feat)[0]
-                z_next, r, done = env_ep.step(a, rng)
-                h, c = lstm_step(model.lstm, np.concatenate([z, a])[None], h, c)
-                z = z_next
-                total += r
-            want.append(total)
+        # Returns and every action taken must match the lockstep oracle bit
+        # for bit, so the features the controller acts on (z, h, and c for
+        # ZHC) are checked, not only episode outcomes.
+        setup, res, (got_actions, _) = self._evaluate(features)
+        want = lockstep_episodes(*setup, self.N_EPISODES, 7)
+        want_actions, _ = recorded_actions()
         assert np.array_equal(res.returns, want)
         assert res.mean == np.mean(want) and res.std == np.std(want)
-        assert len(got_actions) == len(RecordingDodge.actions)
-        assert all(np.array_equal(g, w) for g, w in zip(got_actions, RecordingDodge.actions))
+        assert len(got_actions) == len(want_actions)
+        assert all(np.array_equal(g, w) for g, w in zip(got_actions, want_actions))
+
+    @pytest.mark.parametrize("features", [FeatureSpec.ZH, FeatureSpec.ZHC])
+    def test_matches_episodes_run_one_at_a_time(self, features):
+        # Against one episode at a time, only the cell's rounding differs
+        # (its row results depend on the row count), so episode outcomes are
+        # equal and actions agree to within that rounding.
+        setup, res, (_, got) = self._evaluate(features)
+        want = serial_episodes(*setup, self.N_EPISODES, 7)
+        _, want_actions = recorded_actions()
+        assert np.array_equal(res.returns, want)
+        assert [len(g) for g in got] == [len(w) for w in want_actions]
+        assert len({len(w) for w in want_actions}) > 1
+        for g, w in zip(got, want_actions):
+            assert np.allclose(g, w, rtol=0.0, atol=1e-12)
 
     def test_mismatched_dimensions_rejected(self):
         env, model, ctrl = self._setup(FeatureSpec.ZH)

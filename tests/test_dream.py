@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dreamrand.dream import (
     _reset_draws,
     _step_draws,
     rollout_batch,
+    run_lanes,
 )
 from dreamrand.lstm import masks_from_uniforms
 from dreamrand.numerics import rng_stream
@@ -502,3 +505,51 @@ class TestRolloutBoundaries:
         model, policy, rngs = self._args()
         with pytest.raises(ValueError, match="starts"):
             rollout_batch(cfg_for(model), policy, rngs, np.zeros(shape))
+
+
+class TestRunLanes:
+    """``run_lanes`` driven by a scripted transition, with no world model.
+
+    Column 0 of each lane's latent holds its lane index and column 0 of its
+    hidden state the steps it has taken, so every call shows which lanes'
+    rows it was given and in what order.
+    """
+
+    @pytest.mark.parametrize(
+        "end_at,max_len",
+        [
+            ([3, 1, 5, 2, 7, 5], 5),  # lanes 2 and 5 end at the cap, lane 4 is cut
+            ([2, 3, 1], 10),  # every lane ends before the cap
+            ([4, 4], 1),
+        ],
+    )
+    def test_scripted_lanes(self, end_at, max_len):
+        end_at = np.array(end_at)
+        L, n, d = len(end_at), 3, 2
+        model = SimpleNamespace(hidden_dim=d, action_dim=1)
+        taken = np.zeros(L, dtype=np.int64)
+        calls = {"policy": [], "transition": []}
+
+        def policy(lanes, Z, H, C):
+            calls["policy"].append(lanes.tolist())
+            assert np.array_equal(Z[:, 0], lanes)
+            assert np.array_equal(H[:, 0], taken[lanes]) and np.array_equal(C, H)
+            return 0.5 * Z[:, :1]
+
+        def transition(lanes, X, H, C):
+            calls["transition"].append(lanes.tolist())
+            assert np.array_equal(X, np.concatenate([X[:, :n], 0.5 * X[:, :1]], axis=1))
+            assert np.array_equal(X[:, 0], lanes)
+            taken[lanes] += 1
+            return H + 1.0, C + 1.0, X[:, :n], lanes + 1.0, taken[lanes] == end_at[lanes]
+
+        Z = np.repeat(np.arange(L, dtype=np.float64)[:, None], n, axis=1)
+        returns, steps, truncated = run_lanes(model, policy, transition, Z, max_len)
+
+        want_steps = np.minimum(end_at, max_len)
+        want_lanes = [np.flatnonzero(want_steps > t).tolist() for t in range(want_steps.max())]
+        assert calls == {"policy": want_lanes, "transition": want_lanes}
+        assert np.array_equal(taken, want_steps)
+        assert np.array_equal(steps, want_steps)
+        assert np.array_equal(truncated, end_at > max_len)
+        assert np.array_equal(returns, (np.arange(L) + 1.0) * want_steps)
