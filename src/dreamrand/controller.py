@@ -386,6 +386,9 @@ def save_controller(ctrl: ControllerParams, path) -> None:
 def load_controller(path) -> ControllerParams:
     header, arrays = storage.read_container(path, "controller", CONTROLLER_VERSION)
     try:
-        return ControllerParams(arrays["w"], arrays["b"], FeatureSpec(header["features"]))
+        ctrl = ControllerParams(arrays["w"], arrays["b"], FeatureSpec(header["features"]))
+        if (header["action_dim"], header["feature_dim"]) != (ctrl.action_dim, ctrl.feature_dim):
+            raise ValueError(f"header says {header['action_dim']} x {header['feature_dim']}, w is {ctrl.w.shape}")
+        return ctrl
     except (KeyError, ValueError) as exc:
         raise storage.CorruptFileError(f"invalid controller checkpoint: {exc}") from exc

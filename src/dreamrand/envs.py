@@ -5,16 +5,13 @@ Both environments expose their low-dimensional state directly (identity
 encoder), carry small Gaussian process noise so learned dynamics stay
 genuinely stochastic, and end every episode with exactly one terminal step.
 
-DodgeWorld: survive falling hazards on a 1-D line; +1 reward per step alive,
-collision (or the step cap) ends the episode.
-
-TrackWorld: drive a tiled track to completion; each newly crossed tile pays
-100/N_tiles - 0.1, every other step pays -0.1, and the episode ends when all
-tiles are crossed or the step cap is hit.
+Each environment's class is its one declaration: the dataclass fields are the
+simulator's parameters with their defaults, and the class holds its ``name``,
+dynamics and ``expert``, which ``params()``, ``make_env`` and ``expert_policy`` read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,48 +39,47 @@ class EpisodeDoneError(RuntimeError):
     """Raised when a finished episode is stepped without a reset."""
 
 
-class DodgeWorld:
+class _Env:
+    """Base of the environment dataclasses, whose fields are the simulator's
+    parameters in constructor order."""
+
+    def __post_init__(self):
+        # Each value takes its default's type, so numpy scalars save as JSON.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                value = [type(d)(v) for d, v in zip(f.default, value, strict=True)]
+            setattr(self, f.name, type(f.default)(value))
+        self._done = True
+
+    def params(self) -> dict:
+        """The parameters by name, tuples as lists so a JSON round trip compares equal."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
+
+
+@dataclass(eq=False)
+class DodgeWorld(_Env):
     """Dodge falling hazards on the segment [-1, 1].
 
     State: [agent_x, (hazard_dx, hazard_y) per hazard] where hazard_dx is the
     hazard's horizontal offset from the agent. Action: scalar in [-1, 1]
     moving the agent. Reward +1 every surviving step; a hazard reaching the
-    ground within the collision radius ends the episode.
+    ground within the collision radius, or the step cap, ends the episode.
     """
 
     name = "dodge"
     action_dim = 1
 
-    def __init__(
-        self,
-        n_hazards=2,
-        noise_std=0.01,
-        max_ep_len=2100,
-        agent_speed=0.12,
-        collision_radius=0.3,
-        fall_speed_range=(0.025, 0.05),
-    ):
-        self.n_hazards = int(n_hazards)
-        self.noise_std = float(noise_std)
-        self.max_ep_len = int(max_ep_len)
-        self.agent_speed = float(agent_speed)
-        self.collision_radius = float(collision_radius)
-        self.fall_speed_range = (float(fall_speed_range[0]), float(fall_speed_range[1]))
-        self._done = True
+    n_hazards: int = 2
+    noise_std: float = 0.01
+    max_ep_len: int = 2100
+    agent_speed: float = 0.12
+    collision_radius: float = 0.3
+    fall_speed_range: tuple = (0.025, 0.05)
 
     @property
     def state_dim(self) -> int:
         return 1 + 2 * self.n_hazards
-
-    def params(self) -> dict:
-        return {
-            "n_hazards": self.n_hazards,
-            "noise_std": self.noise_std,
-            "max_ep_len": self.max_ep_len,
-            "agent_speed": self.agent_speed,
-            "collision_radius": self.collision_radius,
-            "fall_speed_range": list(self.fall_speed_range),
-        }
 
     def _observe(self):
         parts = [np.array([self._x])]
@@ -122,63 +118,49 @@ class DodgeWorld:
         self._done = collided or self._t >= self.max_ep_len
         return self._observe(), 1.0, self._done
 
+    def expert(self, z, rng):
+        """Step away from the lowest hazard when it is near, else drift back to the centre."""
+        x = z[0]
+        if self.n_hazards == 0:
+            return np.array([np.clip(-x, -1.0, 1.0)])
+        dx = z[1::2]
+        hy = z[2::2]
+        i = int(np.argmin(hy))
+        if abs(dx[i]) > 2.0 * self.collision_radius:
+            return np.array([np.clip(-2.0 * x, -1.0, 1.0)])  # drift back to center
+        away = -np.sign(dx[i]) if dx[i] != 0.0 else (1.0 if x <= 0 else -1.0)
+        if abs(x + away * self.agent_speed) > 0.98:  # wall ahead: cut across instead
+            away = -away
+        return np.array([away])
 
-class TrackWorld:
+
+@dataclass(eq=False)
+class TrackWorld(_Env):
     """Progress along a tiled track with per-episode random curvature.
 
     State: [progress s, speed v, heading error e, curvature at s, curvature
     ahead]. Action: [steer, throttle] in [-1, 1]^2. Progress only accrues
-    while |e| < 1; curvature pushes e and must be steered against.
+    while |e| < 1; curvature pushes e and must be steered against. Each
+    newly crossed tile pays 100/n_tiles - 0.1, every other step -0.1; the
+    episode ends when all tiles are crossed or at the step cap.
     """
 
     name = "track"
     action_dim = 2
     state_dim = 5
 
-    def __init__(
-        self,
-        n_tiles=20,
-        noise_std=0.01,
-        max_ep_len=1000,
-        accel=0.04,
-        drag=0.05,
-        v_max=0.8,
-        steer_gain=0.3,
-        curve_gain=0.5,
-        progress_scale=0.005,
-        lookahead=0.05,
-        curve_amp=1.0,
-        n_curve_modes=3,
-    ):
-        self.n_tiles = int(n_tiles)
-        self.noise_std = float(noise_std)
-        self.max_ep_len = int(max_ep_len)
-        self.accel = float(accel)
-        self.drag = float(drag)
-        self.v_max = float(v_max)
-        self.steer_gain = float(steer_gain)
-        self.curve_gain = float(curve_gain)
-        self.progress_scale = float(progress_scale)
-        self.lookahead = float(lookahead)
-        self.curve_amp = float(curve_amp)
-        self.n_curve_modes = int(n_curve_modes)
-        self._done = True
-
-    def params(self) -> dict:
-        return {
-            "n_tiles": self.n_tiles,
-            "noise_std": self.noise_std,
-            "max_ep_len": self.max_ep_len,
-            "accel": self.accel,
-            "drag": self.drag,
-            "v_max": self.v_max,
-            "steer_gain": self.steer_gain,
-            "curve_gain": self.curve_gain,
-            "progress_scale": self.progress_scale,
-            "lookahead": self.lookahead,
-            "curve_amp": self.curve_amp,
-            "n_curve_modes": self.n_curve_modes,
-        }
+    n_tiles: int = 20
+    noise_std: float = 0.01
+    max_ep_len: int = 1000
+    accel: float = 0.04
+    drag: float = 0.05
+    v_max: float = 0.8
+    steer_gain: float = 0.3
+    curve_gain: float = 0.5
+    progress_scale: float = 0.005
+    lookahead: float = 0.05
+    curve_amp: float = 1.0
+    n_curve_modes: int = 3
 
     def _curvature(self, s):
         if self.curve_amp == 0.0:
@@ -237,12 +219,21 @@ class TrackWorld:
         self._done = self._tiles >= self.n_tiles or self._t >= self.max_ep_len
         return self._observe(), float(reward), self._done
 
+    def expert(self, z, rng):
+        """Steer against the curvature and the heading error, at a speed the sharpest curve ahead allows."""
+        k_e = 0.6
+        _, v, e, k_now, k_ahead = z
+        steer = np.clip((self.curve_gain * v * k_now + k_e * e) / self.steer_gain, -1.0, 1.0)
+        sharp = max(abs(k_now), abs(k_ahead))
+        v_safe = np.clip(0.9 * self.steer_gain / (self.curve_gain * (sharp + 0.1)), 0.15, self.v_max)
+        throttle = np.clip(8.0 * (v_safe - v), -1.0, 1.0)
+        return np.array([steer, throttle])
+
 
 def make_env(name: str, **overrides):
-    if name == "dodge":
-        return DodgeWorld(**overrides)
-    if name == "track":
-        return TrackWorld(**overrides)
+    for cls in (DodgeWorld, TrackWorld):
+        if cls.name == name:
+            return cls(**overrides)
     raise ValueError(f"unknown environment {name!r}")
 
 
@@ -253,44 +244,8 @@ def random_policy(action_dim: int):
     return policy
 
 
-def _dodge_expert(env: DodgeWorld):
-    def policy(z, rng):
-        x = z[0]
-        if env.n_hazards == 0:
-            return np.array([np.clip(-x, -1.0, 1.0)])
-        dx = z[1::2]
-        hy = z[2::2]
-        i = int(np.argmin(hy))
-        if abs(dx[i]) > 2.0 * env.collision_radius:
-            return np.array([np.clip(-2.0 * x, -1.0, 1.0)])  # drift back to center
-        away = -np.sign(dx[i]) if dx[i] != 0.0 else (1.0 if x <= 0 else -1.0)
-        if abs(x + away * env.agent_speed) > 0.98:  # wall ahead: cut across instead
-            away = -away
-        return np.array([away])
-
-    return policy
-
-
-def _track_expert(env: TrackWorld):
-    k_e = 0.6
-
-    def policy(z, rng):
-        _, v, e, k_now, k_ahead = z
-        steer = np.clip((env.curve_gain * v * k_now + k_e * e) / env.steer_gain, -1.0, 1.0)
-        sharp = max(abs(k_now), abs(k_ahead))
-        v_safe = np.clip(0.9 * env.steer_gain / (env.curve_gain * (sharp + 0.1)), 0.15, env.v_max)
-        throttle = np.clip(8.0 * (v_safe - v), -1.0, 1.0)
-        return np.array([steer, throttle])
-
-    return policy
-
-
 def expert_policy(env):
-    if isinstance(env, DodgeWorld):
-        return _dodge_expert(env)
-    if isinstance(env, TrackWorld):
-        return _track_expert(env)
-    raise ValueError(f"no expert for {env!r}")
+    return env.expert
 
 
 @dataclass
@@ -337,14 +292,16 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.train_idx = np.asarray(self.train_idx, dtype=np.int64)
-        self.test_idx = np.asarray(self.test_idx, dtype=np.int64)
-        count = len(self.trajectories)
-        for idx in (self.train_idx, self.test_idx):
-            if idx.size and (idx.min() < 0 or idx.max() >= count):
-                raise ValueError("split index out of range")
-        if np.intersect1d(self.train_idx, self.test_idx).size:
-            raise ValueError("train and test splits must be disjoint")
+        for name in ("train_idx", "test_idx"):
+            given = np.asarray(getattr(self, name))
+            setattr(self, name, given.astype(np.int64))
+            if not np.array_equal(getattr(self, name), given):
+                raise ValueError(f"{name} holds non-integral values")
+        both = np.concatenate([self.train_idx, self.test_idx])
+        if both.size and (both.min() < 0 or both.max() >= len(self.trajectories)):
+            raise ValueError("split index out of range")
+        if np.unique(both).size != both.size:
+            raise ValueError("a split index repeats: the splits hold a duplicate or overlap")
 
     @property
     def n(self) -> int:

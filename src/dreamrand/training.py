@@ -57,22 +57,27 @@ class TrainConfig:
 
 @dataclass
 class LossReport:
-    """Per-epoch training curve with the per-term breakdown of the joint loss."""
+    """Per-epoch training curve with the per-term breakdown of the joint loss,
+    the mean pre-clip gradient norm over the epoch's batches and the share of
+    those batches whose gradient was clipped."""
 
     train_loss: np.ndarray
     test_loss: np.ndarray
     lz: np.ndarray
     lr: np.ndarray
     ld: np.ndarray
+    grad_norm: np.ndarray
+    clip_rate: np.ndarray
 
     def __post_init__(self):
-        for name in ("train_loss", "test_loss", "lz", "lr", "ld"):
+        columns = [f.name for f in fields(self)]
+        for name in columns:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        n = len(self.train_loss)
-        if any(len(getattr(self, f)) != n for f in ("test_loss", "lz", "lr", "ld")):
+        if any(len(getattr(self, name)) != self.epochs for name in columns):
             raise ValueError("loss report columns must have equal length")
-        for name in ("train_loss", "lz", "lr", "ld"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in columns:
+            # An empty test split leaves test_loss NaN.
+            if name != "test_loss" and not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite values in {name}")
 
     @property
@@ -80,14 +85,12 @@ class LossReport:
         return len(self.train_loss)
 
     def to_csv(self, path) -> None:
+        names = [f.name for f in fields(self)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "test_loss", "lz", "lr", "ld"])
+            writer.writerow(["epoch"] + names)
             for e in range(self.epochs):
-                writer.writerow(
-                    [e + 1]
-                    + [repr(float(col[e])) for col in (self.train_loss, self.test_loss, self.lz, self.lr, self.ld)]
-                )
+                writer.writerow([e + 1] + [repr(float(getattr(self, name)[e])) for name in names])
 
 
 @dataclass
@@ -232,6 +235,7 @@ def train_dynamics(dataset, cfg: TrainConfig):
         perm = order_rng.permutation(n_windows)
         total = dict.fromkeys(columns, 0.0)
         seen = 0
+        norms = []
         for start in range(0, n_windows, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             b = len(idx)
@@ -245,13 +249,15 @@ def train_dynamics(dataset, cfg: TrainConfig):
                     f"non-finite loss at epoch {epoch + 1}, batch {start // cfg.batch_size}: "
                     f"{metrics}"
                 )
-            _clip_grads(params, grad, cfg.grad_clip)
+            norms.append(_clip_grads(params, grad, cfg.grad_clip))
             opt.step(params.theta, grad)
             for key in total:
                 total[key] += metrics[key] * b
             seen += b
         for key, field in columns.items():
             rows[field].append(total[key] / seen)
+        rows["grad_norm"].append(np.mean(norms))
+        rows["clip_rate"].append(np.mean(np.array(norms) > cfg.grad_clip))
         test = _window_loss(params, test_blocks, cfg.alpha_r, cfg.alpha_d)[1]["loss"] if test_blocks else float("nan")
         rows["test_loss"].append(test)
 

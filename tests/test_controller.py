@@ -5,6 +5,7 @@ import pytest
 
 from dreamrand import storage
 from dreamrand.controller import (
+    CONTROLLER_VERSION,
     CmaConfig,
     CmaEs,
     ControllerParams,
@@ -109,6 +110,16 @@ class TestControllerIO:
         save_controller(make_controller(3), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(storage.CorruptFileError):
+            load_controller(path)
+
+    @pytest.mark.parametrize("dims", [(7, 99), (1, 6), (2, 5)])
+    def test_header_disagreeing_with_w_rejected(self, tmp_path, dims):
+        path = tmp_path / "ctrl.bin"
+        save_controller(make_controller(3), path)  # w is (1, 5)
+        header, arrays = storage.read_container(path, "controller", CONTROLLER_VERSION)
+        header["action_dim"], header["feature_dim"] = dims
+        storage.write_container(path, "controller", CONTROLLER_VERSION, header, arrays)
+        with pytest.raises(storage.CorruptFileError, match="header says"):
             load_controller(path)
 
     def test_wrong_kind_rejected(self, tmp_path):

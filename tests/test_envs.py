@@ -102,6 +102,30 @@ class TestTrackWorld:
             make_env("nope")
 
 
+# Non-default parameters, some given positionally and some as numpy scalars.
+DECLARED_ENVS = [
+    DodgeWorld(np.int64(3), np.float64(0.02), 150, fall_speed_range=(np.float32(0.03), 0.06)),
+    TrackWorld(np.int32(12), 0.0, np.int64(120), curve_amp=np.float64(0.5), n_curve_modes=np.int64(2)),
+]
+
+
+@pytest.mark.parametrize("env", DECLARED_ENVS, ids=lambda env: env.name)
+class TestEnvDeclaration:
+    def test_make_env_from_params(self, env):
+        params = env.params()
+        assert params != make_env(env.name).params()
+        assert make_env(env.name, **params).params() == params
+
+    def test_params_survive_dataset_roundtrip(self, tmp_path, env):
+        ds = collect_trajectories(env, random_policy(env.action_dim), 2, 0.0, rng_stream(13, "declared"))
+        path = tmp_path / "data.dataset"
+        save_dataset(ds, path)
+        assert load_dataset(path).env_params == env.params()
+
+    def test_expert_policy_is_env_expert(self, env):
+        assert expert_policy(env) == env.expert
+
+
 class TestExpertGap:
     @pytest.mark.parametrize("name", ["dodge", "track"])
     def test_expert_beats_random_by_wide_margin(self, name):
@@ -248,6 +272,25 @@ class TestDatasetIO:
         ds = self._dataset()
         with pytest.raises(ValueError):
             Dataset(ds.trajectories, np.array([0, 1]), np.array([1, 2]), "dodge")
+
+    @pytest.mark.parametrize("train_idx,match", [([0, 0, 1], "repeats"), ([0.7, 1.2], "non-integral")])
+    def test_bad_split_indices_rejected(self, tmp_path, train_idx, match):
+        ds = self._dataset()
+        with pytest.raises(ValueError, match=match):
+            Dataset(ds.trajectories, train_idx, [], "dodge")
+        path = tmp_path / "data.dataset"
+        save_dataset(ds, path)
+        header, arrays = storage.read_container(path, "dataset", DATASET_VERSION)
+        arrays["train_idx"] = np.array(train_idx)
+        storage.write_container(path, "dataset", DATASET_VERSION, header, arrays)
+        with pytest.raises(storage.CorruptFileError, match=match):
+            load_dataset(path)
+
+    def test_integral_and_empty_splits_accepted(self):
+        ds = self._dataset()
+        merged = Dataset(ds.trajectories, [0.0, 2.0], [], "dodge")
+        assert merged.train_idx.dtype == np.int64 and merged.train_idx.tolist() == [0, 2]
+        assert merged.test_idx.dtype == np.int64 and merged.test_idx.size == 0
 
 
 class TestTrajectoryValidation:

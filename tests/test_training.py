@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,29 @@ class TestTrainDynamics:
         want_x, want_h = masks_from_uniforms(u, cfg.p_train, r, d, params.action_input_dims)
         assert np.array_equal(np.concatenate([sx for _, sx, _ in seen]), want_x)
         assert np.array_equal(np.concatenate([sh for _, _, sh in seen]), want_h)
+
+    def test_grad_norm_and_clip_rate_count_the_clips(self, monkeypatch):
+        # Each epoch's grad_norm is the mean of the norms _clip_grads returned
+        # and clip_rate the share of them above grad_clip.
+        ds = tiny_dataset()
+        cfg = TrainConfig(hidden_size=8, epochs=3, seq_len=16, batch_size=4, seed=11, grad_clip=1.0)
+        clip, norms = training._clip_grads, []
+
+        def spy(params, grad, max_norm):
+            norms.append(clip(params, grad, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "_clip_grads", spy)
+        _, report = train_dynamics(ds, cfg)
+        n_windows = make_windows(ds.train_trajectories(), cfg.seq_len)[0].shape[0]
+        per_epoch = np.array(norms).reshape(cfg.epochs, -(-n_windows // cfg.batch_size))
+        assert np.array_equal(report.grad_norm, per_epoch.mean(axis=1))
+        assert np.array_equal(report.clip_rate, (per_epoch > cfg.grad_clip).mean(axis=1))
+        assert 0.0 < report.clip_rate.max()
+
+        monkeypatch.undo()
+        _, unclipped = train_dynamics(ds, dataclasses.replace(cfg, grad_clip=1e12))
+        assert np.all(unclipped.clip_rate == 0.0) and np.all(unclipped.grad_norm > 0.0)
 
     def test_empty_dataset_rejected(self):
         ds = tiny_dataset()
@@ -160,7 +185,7 @@ class TestTrainDynamics:
         path = tmp_path / "loss.csv"
         report.to_csv(path)
         rows = path.read_text().strip().splitlines()
-        assert rows[0] == "epoch,train_loss,test_loss,lz,lr,ld"
+        assert rows[0] == "epoch,train_loss,test_loss,lz,lr,ld,grad_norm,clip_rate"
         assert len(rows) == report.epochs + 1
         assert float(rows[1].split(",")[1]) == pytest.approx(report.train_loss[0])
 
